@@ -60,7 +60,10 @@
 //!   protocols (outputs checked bit-for-bit equal), plus incremental
 //!   mid-stream finalization on the streaming engine — `finish_at_epoch`
 //!   cold (first query after a checkpoint, pays the fold once) and warm
-//!   (memoized) against a from-scratch snapshot decode + finish; with
+//!   (memoized) against a from-scratch snapshot decode + finish, and the
+//!   expander sketch's stand-out step split into its materialize /
+//!   transform / sweep sub-phases (`ExpanderSketch::profile_standout`,
+//!   recorded on the sketch's serial row); with
 //!   `--json` / `--json-out` the records land in the JSON document as
 //!   `finish` rows.
 //! * `--quick` — small-n profile (CI smoke runs).
@@ -75,7 +78,8 @@
 use hh_bench::{banner, fmt_dur, json_array, JsonObject, Table};
 use hh_core::baselines::{ScanHeavyHitters, ScanParams};
 use hh_core::traits::HeavyHitterProtocol;
-use hh_core::{ExpanderSketch, SketchParams, SketchReport};
+use hh_core::traits::WireShard;
+use hh_core::{ExpanderSketch, SketchParams, SketchReport, SketchShard, StandoutPhases};
 use hh_freq::hashtogram::{Hashtogram, HashtogramReport};
 use hh_freq::krr::KrrOracle;
 use hh_freq::rappor::Rappor;
@@ -809,13 +813,54 @@ fn finish_throughput(name: &str, spec: &ProtocolSpec, data: &[u64], seed: u64) -
             .int("domain", spec.domain)
             .num("finish_secs", secs)
     };
+    let mut serial = record("serial", serial_secs);
+    if name == "expander_sketch" {
+        let phases = standout_phases(spec, &shard_bytes);
+        println!(
+            "  {:>16}  stand-out (serial): materialize {} | transform {} | sweep {}",
+            "",
+            fmt_dur(phases.materialize),
+            fmt_dur(phases.transform),
+            fmt_dur(phases.sweep),
+        );
+        serial = serial
+            .num(
+                "standout_materialize_secs",
+                phases.materialize.as_secs_f64(),
+            )
+            .num("standout_transform_secs", phases.transform.as_secs_f64())
+            .num("standout_sweep_secs", phases.sweep.as_secs_f64());
+    }
     vec![
-        record("serial", serial_secs).build(),
+        serial.build(),
         record("parallel", par_secs)
             .int("threads", rayon::current_num_threads() as u64)
             .num("speedup_vs_serial", speedup)
             .build(),
     ]
+}
+
+/// The expander sketch's stand-out step split into its sub-phases
+/// (materialize / transform / sweep), profiled serially on the same
+/// snapshot `finish_throughput` times: the per-phase median of a few
+/// profiles, so a finish change can name the layer it moved.
+fn standout_phases(spec: &ProtocolSpec, shard_bytes: &[u8]) -> StandoutPhases {
+    const REPS: usize = 3;
+    let mut sketch = ExpanderSketch::new(
+        SketchParams::optimal(spec.n, spec.domain_bits(), spec.eps, spec.beta),
+        spec.seed,
+    );
+    sketch.finish_shard(SketchShard::decode_shard(shard_bytes).expect("snapshot decodes"));
+    let mut runs: Vec<StandoutPhases> = (0..REPS).map(|_| sketch.profile_standout()).collect();
+    let mut median = |phase: fn(&StandoutPhases) -> std::time::Duration| {
+        runs.sort_by_key(phase);
+        phase(&runs[REPS / 2])
+    };
+    StandoutPhases {
+        materialize: median(|p| p.materialize),
+        transform: median(|p| p.transform),
+        sweep: median(|p| p.sweep),
+    }
 }
 
 /// Incremental vs from-scratch mid-stream finalization on the streaming

@@ -29,7 +29,7 @@ use hh_freq::wire;
 use hh_freq::wire::{varint_len, write_varint, ShardReader};
 use hh_hash::family::labels;
 use hh_hash::{HashFamily, PairwiseHash};
-use hh_math::par::{par_chunk_zip_map, par_map_indexed, planned_threads};
+use hh_math::par::{par_chunk_zip_map, par_map_owned, planned_threads};
 use hh_math::rng::derive_seed;
 use hh_math::sampler::ClientCoins;
 use rand::Rng;
@@ -425,20 +425,24 @@ impl HeavyHitterProtocol for Bitstogram {
         let m_bits = p.domain_bits as usize;
         let tau = 1.25 * p.cell_noise();
         // Inner decode: every (repetition, bit) group is an independent
-        // oracle — materialize, finalize and sweep all of them on
-        // parallel workers (results in group order, bit-for-bit the
-        // serial loop's tables).
-        let estimates = par_map_indexed(p.repetitions * m_bits, threads, |group| {
-            let mut oracle = self.inner_proto.clone();
-            for &(user, rep) in &self.inner_reports[group] {
-                oracle.collect(user, rep);
-            }
-            oracle.finalize();
-            let mut buf = Vec::new();
-            (0..p.inner_cells())
-                .map(|c| oracle.estimate_into(c, &mut buf))
-                .collect::<Vec<f64>>()
+        // oracle — materialize each from its buffered reports and sweep
+        // its whole cell domain in one bulk run, on parallel workers
+        // with pooled run tiles (results in group order, bit-for-bit
+        // the serial loop's tables).
+        let work: Vec<(usize, Vec<f64>)> = (0..p.repetitions * m_bits)
+            .map(|group| (group, scratch.take_f64()))
+            .collect();
+        let tables = par_map_owned(work, threads, |_, (group, mut tile)| {
+            let oracle = self.inner_proto.materialize(&self.inner_reports[group]);
+            let mut table = vec![0.0; p.inner_cells() as usize];
+            oracle.estimate_run(0, &mut table, &mut tile);
+            (table, tile)
         });
+        let mut estimates = Vec::with_capacity(tables.len());
+        for (table, tile) in tables {
+            scratch.put_f64(tile);
+            estimates.push(table);
+        }
         // Reconstruct candidates repetition by repetition — the bit-wise
         // vote over the estimate tables is cheap and order-sensitive
         // (candidate order feeds the output), so it stays serial.

@@ -9,7 +9,9 @@
 //! small-domain reference the benches use for ground truth.
 
 use crate::traits::{FinishScratch, FrameError, HeavyHitterProtocol, WireFrames};
-use hh_freq::hashtogram::{Hashtogram, HashtogramParams, HashtogramReport, HashtogramShard};
+use hh_freq::hashtogram::{
+    Hashtogram, HashtogramParams, HashtogramReport, HashtogramShard, RUN_TILE,
+};
 use hh_freq::traits::FrequencyOracle;
 use hh_math::par::{par_map_owned, planned_threads};
 use rand::Rng;
@@ -156,27 +158,34 @@ impl HeavyHitterProtocol for ScanHeavyHitters {
         let keep = self.params.detection_threshold() / 2.0;
         let domain = self.params.domain;
         // Split the exhaustive domain scan into one contiguous span per
-        // worker; spans are reassembled in domain order, so the output is
-        // identical to the serial scan.
+        // worker; each worker sweeps its span in `RUN_TILE` runs through
+        // the bulk kernel with two pooled buffers (the run and the
+        // kernel's tile). Spans are reassembled in domain order, so the
+        // output is identical to the serial scan.
         let workers = planned_threads(threads, domain as usize, 1);
         let span = (domain as usize).div_ceil(workers).max(1) as u64;
-        let spans: Vec<(u64, Vec<f64>)> = (0..workers as u64)
-            .map(|w| (w * span, scratch.take_f64()))
+        let spans: Vec<(u64, Vec<f64>, Vec<f64>)> = (0..workers as u64)
+            .map(|w| (w * span, scratch.take_f64(), scratch.take_f64()))
             .collect();
         let oracle = &self.oracle;
-        let parts = par_map_owned(spans, threads, |_, (start, mut buf)| {
-            let part: Vec<(u64, f64)> = (start..(start + span).min(domain))
-                .filter_map(|x| {
-                    let f = oracle.estimate_into(x, &mut buf);
-                    (f >= keep).then_some((x, f))
-                })
-                .collect();
-            (part, buf)
+        let parts = par_map_owned(spans, threads, |_, (start, mut run, mut tile)| {
+            let end = (start + span).min(domain);
+            let mut part = Vec::new();
+            let mut x0 = start;
+            while x0 < end {
+                run.clear();
+                run.resize((end - x0).min(RUN_TILE as u64) as usize, 0.0);
+                oracle.estimate_run(x0, &mut run, &mut tile);
+                part.extend((x0..).zip(run.iter().copied()).filter(|&(_, f)| f >= keep));
+                x0 += run.len() as u64;
+            }
+            (part, run, tile)
         });
         let mut est = Vec::new();
-        for (part, buf) in parts {
+        for (part, run, tile) in parts {
             est.extend_from_slice(&part);
-            scratch.put_f64(buf);
+            scratch.put_f64(run);
+            scratch.put_f64(tile);
         }
         est.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)

@@ -34,5 +34,5 @@ pub mod traits;
 pub mod verify;
 
 pub use params::SketchParams;
-pub use sketch::{ExpanderSketch, SketchReport, SketchShard};
+pub use sketch::{ExpanderSketch, SketchReport, SketchShard, StandoutPhases};
 pub use traits::{HeavyHitterProtocol, WireError, WireReport, WireShard};

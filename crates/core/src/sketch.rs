@@ -29,17 +29,18 @@ use crate::traits::{
 use hh_codes::ulrc::UniqueListCode;
 use hh_freq::hashtogram::{
     read_report_run, report_run_len, write_report_run, Hashtogram, HashtogramReport,
-    HashtogramShard,
+    HashtogramShard, RUN_TILE,
 };
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire;
 use hh_freq::wire::{varint_len, write_varint, ShardReader};
 use hh_hash::family::labels;
 use hh_hash::{HashFamily, KWiseHash};
-use hh_math::par::{par_chunk_zip_map, par_map_indexed, planned_threads};
+use hh_math::par::{par_chunk_zip_map, par_map_indexed, par_map_owned, planned_threads};
 use hh_math::rng::derive_seed;
 use hh_math::sampler::ClientCoins;
 use rand::Rng;
+use std::time::{Duration, Instant};
 
 /// The single message a user sends: her coordinate report and her final
 /// frequency-oracle report. The user's coordinate `m` is a public
@@ -126,6 +127,19 @@ impl WireShard for SketchShard {
             users,
         })
     }
+}
+
+/// Wall-clock of the stand-out step (steps 2–3) by sub-phase, summed
+/// over coordinates — see [`ExpanderSketch::profile_standout`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StandoutPhases {
+    /// Tallying each coordinate's buffered reports into fresh zeroed
+    /// tallies.
+    pub materialize: Duration,
+    /// Debias + Hadamard transform of each coordinate's tallies.
+    pub transform: Duration,
+    /// The argmax-over-`z` sweep of every `(b, y)` cell run.
+    pub sweep: Duration,
 }
 
 /// `PrivateExpanderSketch`: public randomness + server state.
@@ -252,58 +266,105 @@ impl ExpanderSketch {
         }
     }
 
-    /// The stand-out lists (step 3), exposed for inspection/ablation:
-    /// `lists[b][m]` = the `(y, z)` pairs whose estimate cleared τ.
+    /// The stand-out lists (step 3): `lists[b][m]` = the `(y, z)` pairs
+    /// whose estimate cleared τ.
     ///
-    /// Coordinates are independent — each materializes, finalizes and
-    /// scans its own inner oracle — so they decode on `threads` workers
-    /// (`0` = hardware, `1` = serial), with the per-coordinate results
+    /// Coordinates are independent — each materializes its own inner
+    /// oracle from its buffered reports and sweeps it — so they decode
+    /// on `scratch.threads` workers, with the per-coordinate results
     /// reassembled in coordinate order: the lists are identical for
-    /// every thread count.
-    fn build_standout_lists(&self, threads: usize) -> Vec<Vec<Vec<(u64, u64)>>> {
+    /// every thread count. Each coordinate's run tiles come from the
+    /// scratch pool and go back to it.
+    fn build_standout_lists(&self, scratch: &mut FinishScratch) -> Vec<Vec<Vec<(u64, u64)>>> {
         let p = &self.params;
-        let tau = p.standout_threshold();
-        let z_card = p.z_cardinality();
-        let per_coord = par_map_indexed(p.num_coords, threads, |m| {
-            // Materialize coordinate m's oracle, ingest its reports, scan.
+        let work: Vec<(usize, Vec<f64>, Vec<f64>)> = (0..p.num_coords)
+            .map(|m| (m, scratch.take_f64(), scratch.take_f64()))
+            .collect();
+        let per_coord = par_map_owned(work, scratch.threads, |_, (m, mut run, mut tile)| {
             let reports_m = &self.inner_reports[m];
-            let mut out = vec![Vec::new(); p.num_buckets as usize];
-            if reports_m.is_empty() {
-                return out;
-            }
-            let mut oracle = self.inner_proto.clone();
-            for &(user, rep) in reports_m {
-                oracle.collect(user, rep);
-            }
-            oracle.finalize();
-            let mut buf = Vec::new();
-            for (b, list) in out.iter_mut().enumerate() {
-                for y in 0..p.y_range {
-                    let base = p.cell_id(b as u64, y, 0);
-                    let mut best_z = 0u64;
-                    let mut best_v = f64::NEG_INFINITY;
-                    for z in 0..z_card {
-                        let v = oracle.estimate_into(base + z, &mut buf);
-                        if v > best_v {
-                            best_v = v;
-                            best_z = z;
-                        }
-                    }
-                    if best_v >= tau && list.len() < p.list_cap {
-                        list.push((y, best_z));
-                    }
-                }
-            }
-            out
+            let lists = if reports_m.is_empty() {
+                vec![Vec::new(); p.num_buckets as usize]
+            } else {
+                let oracle = self.inner_proto.materialize(reports_m);
+                self.sweep_coord(&oracle, &mut run, &mut tile)
+            };
+            (lists, run, tile)
         });
         // Transpose coordinate-major results into `lists[b][m]`.
         let mut lists = vec![vec![Vec::new(); p.num_coords]; p.num_buckets as usize];
-        for (m, per_b) in per_coord.into_iter().enumerate() {
+        for (m, (per_b, run, tile)) in per_coord.into_iter().enumerate() {
+            scratch.put_f64(run);
+            scratch.put_f64(tile);
             for (b, list) in per_b.into_iter().enumerate() {
                 lists[b][m] = list;
             }
         }
         lists
+    }
+
+    /// Step 3 on one finalized coordinate oracle: for every `(b, y)`,
+    /// the argmax over `z` of the contiguous cell run `(b, y, ·)` —
+    /// swept in [`RUN_TILE`]-cell runs through
+    /// [`Hashtogram::estimate_run`], the first maximum winning exactly
+    /// as in a cell-by-cell scan — kept when it clears τ.
+    fn sweep_coord(
+        &self,
+        oracle: &Hashtogram,
+        run: &mut Vec<f64>,
+        tile: &mut Vec<f64>,
+    ) -> Vec<Vec<(u64, u64)>> {
+        let p = &self.params;
+        let tau = p.standout_threshold();
+        let z_card = p.z_cardinality();
+        run.clear();
+        run.resize(RUN_TILE.min(z_card as usize), 0.0);
+        let mut out = vec![Vec::new(); p.num_buckets as usize];
+        for (b, list) in out.iter_mut().enumerate() {
+            for y in 0..p.y_range {
+                let base = p.cell_id(b as u64, y, 0);
+                let (mut best_z, mut best_v) = (0u64, f64::NEG_INFINITY);
+                let mut z0 = 0u64;
+                while z0 < z_card {
+                    let cells = &mut run[..(z_card - z0).min(RUN_TILE as u64) as usize];
+                    oracle.estimate_run(base + z0, cells, tile);
+                    for (z, &v) in (z0..).zip(cells.iter()) {
+                        if v > best_v {
+                            best_v = v;
+                            best_z = z;
+                        }
+                    }
+                    z0 += cells.len() as u64;
+                }
+                if best_v >= tau && list.len() < p.list_cap {
+                    list.push((y, best_z));
+                }
+            }
+        }
+        out
+    }
+
+    /// Run the stand-out step (steps 2–3) serially with a clock around
+    /// each sub-phase — materialize, transform, sweep — and return the
+    /// per-phase totals. The same operations the finish path runs
+    /// ([`Hashtogram::materialize`] is [`Hashtogram::tally`] then
+    /// finalize), so benches can name the layer a change moved. Reads
+    /// the buffered reports only; the sketch stays unfinished.
+    pub fn profile_standout(&self) -> StandoutPhases {
+        let mut phases = StandoutPhases::default();
+        let (mut run, mut tile) = (Vec::new(), Vec::new());
+        for reports_m in self.inner_reports.iter().filter(|r| !r.is_empty()) {
+            let t0 = Instant::now();
+            let mut oracle = self.inner_proto.tally(reports_m);
+            let t1 = Instant::now();
+            oracle.finalize();
+            let t2 = Instant::now();
+            let _ = self.sweep_coord(&oracle, &mut run, &mut tile);
+            let t3 = Instant::now();
+            phases.materialize += t1 - t0;
+            phases.transform += t2 - t1;
+            phases.sweep += t3 - t2;
+        }
+        phases
     }
 }
 
@@ -436,10 +497,10 @@ impl HeavyHitterProtocol for ExpanderSketch {
     fn finish_with(&mut self, scratch: &mut FinishScratch) -> Vec<(u64, f64)> {
         assert!(!self.finished, "double finish");
         self.finished = true;
-        let threads = scratch.threads;
         // Steps 2–3: stand-out lists per (bucket, coordinate) —
         // coordinates decode on parallel workers.
-        let lists = self.build_standout_lists(threads);
+        let lists = self.build_standout_lists(scratch);
+        let threads = scratch.threads;
         // Step 4: decode each bucket; keep candidates that land in their
         // own bucket under g. Buckets decode independently (results in
         // bucket order); the cross-bucket dedup stays serial so the

@@ -277,7 +277,11 @@ impl Hashtogram {
             .collect();
         let rr = BinaryRandomizedResponse::new(params.eps);
         let row = Uniform64::new(params.buckets);
-        let tallies = vec![vec![0i64; params.buckets as usize]; params.groups];
+        // One zeroed allocation per group (not `vec![row; groups]`, which
+        // would copy — and so touch — the zero pages of every row).
+        let tallies = (0..params.groups)
+            .map(|_| vec![0i64; params.buckets as usize])
+            .collect();
         let group_counts = vec![0; params.groups];
         Self {
             params,
@@ -406,10 +410,41 @@ impl Hashtogram {
         }
     }
 
+    /// A finalized oracle over this one's public randomness holding
+    /// exactly the buffered `(user, report)` run — the per-coordinate
+    /// (per-group) decode step of the composite protocols that buffer
+    /// inner reports until finish (`ExpanderSketch`, `Bitstogram`).
+    ///
+    /// The tallies start as fresh zeroed allocations rather than a clone
+    /// of this oracle's (no copy of a `groups × W` table), and
+    /// finalization converts them to estimates in place. The result is
+    /// bit-for-bit a clone fed the same reports through
+    /// [`FrequencyOracle::collect`] and then finalized.
+    pub fn materialize(&self, reports: &[(u64, HashtogramReport)]) -> Hashtogram {
+        let mut oracle = self.tally(reports);
+        oracle.finalize();
+        oracle
+    }
+
+    /// The unfinalized half of [`Hashtogram::materialize`]: a fresh
+    /// oracle with the run's reports tallied (group assignment seed
+    /// hoisted, as in [`Hashtogram::absorber`]).
+    pub fn tally(&self, reports: &[(u64, HashtogramReport)]) -> Hashtogram {
+        let mut oracle = Hashtogram::new(self.params.clone(), self.family.master_seed());
+        let assign_seed = oracle.assignment_seed();
+        let groups = oracle.params.groups as u64;
+        for &(user, rep) in reports {
+            let g = Self::group_at(assign_seed, user, groups) as usize;
+            oracle.tallies[g][rep.ell as usize] += i64::from(rep.bit);
+            oracle.group_counts[g] += 1;
+        }
+        oracle.total_users = reports.len() as u64;
+        oracle
+    }
+
     /// [`FrequencyOracle::estimate`] writing the per-group estimates
     /// into a caller-owned buffer — bit-for-bit the same answer, no
-    /// per-query allocation. The sweep entry point the scan-style
-    /// protocols drive with a pooled [`FinishScratch`] buffer.
+    /// per-query allocation.
     pub fn estimate_into(&self, x: u64, buf: &mut Vec<f64>) -> f64 {
         assert!(self.finalized, "estimate before finalize");
         assert!(x < self.params.domain);
@@ -425,6 +460,88 @@ impl Hashtogram {
         }));
         median_in_place(buf)
     }
+
+    /// The estimates of the contiguous run `start .. start + out.len()`:
+    /// `out[i]` is bit-for-bit [`Hashtogram::estimate_into`]`(start + i)`.
+    /// The bulk kernel behind every domain sweep (the sketch's
+    /// stand-out scan, the scan baseline, Bitstogram's inner tables).
+    ///
+    /// * Direct variant, one group: a scaled slice of the bucket
+    ///   estimates.
+    /// * Hashed variant: each group's bucket and sign hashes step along
+    ///   the run by forward differences over `F_p`
+    ///   ([`hh_hash::PairwiseHash::hash_run`],
+    ///   [`hh_hash::SignHash::sign_run`]).
+    /// * More than one group: the run goes through `scratch` in tiles of
+    ///   at most [`RUN_TILE`] columns — rescaled group-major, then a
+    ///   median per column over the groups in group order, exactly the
+    ///   point query's median input. One group needs no tile and leaves
+    ///   `scratch` untouched.
+    pub fn estimate_run(&self, start: u64, out: &mut [f64], scratch: &mut Vec<f64>) {
+        assert!(self.finalized, "estimate before finalize");
+        assert!(
+            start <= self.params.domain && out.len() as u64 <= self.params.domain - start,
+            "run {start} + {} outside the domain",
+            out.len()
+        );
+        let groups = self.params.groups;
+        if groups == 1 {
+            self.group_run(0, start, out);
+            return;
+        }
+        let cols = RUN_TILE.min(out.len()).max(1);
+        scratch.clear();
+        scratch.resize(groups * cols + groups, 0.0);
+        let (tile, column) = scratch.split_at_mut(groups * cols);
+        let mut x = start;
+        for chunk in out.chunks_mut(RUN_TILE) {
+            for (r, row) in tile.chunks_exact_mut(cols).enumerate() {
+                self.group_run(r, x, &mut row[..chunk.len()]);
+            }
+            for (i, o) in chunk.iter_mut().enumerate() {
+                for (slot, row) in column.iter_mut().zip(tile.chunks_exact(cols)) {
+                    *slot = row[i];
+                }
+                *o = median_in_place(column);
+            }
+            x += chunk.len() as u64;
+        }
+    }
+
+    /// Group `r`'s rescaled, sign-corrected bucket values over the run
+    /// `start .. start + out.len()` — the per-group terms of
+    /// [`Hashtogram::estimate_into`], in its operation order.
+    fn group_run(&self, r: usize, start: u64, out: &mut [f64]) {
+        let acc = &self.acc[r];
+        let scale = self.total_users as f64 / self.group_counts[r].max(1) as f64;
+        if self.params.hashed {
+            let buckets = self.bucket_hashes[r].hash_run(start, out.len());
+            let signs = self.sign_hashes[r].sign_run(start, out.len());
+            for ((o, b), s) in out.iter_mut().zip(buckets).zip(signs) {
+                *o = acc[b as usize] * s as f64 * scale;
+            }
+        } else {
+            let cells = &acc[start as usize..start as usize + out.len()];
+            for (o, &a) in out.iter_mut().zip(cells) {
+                *o = a * scale;
+            }
+        }
+    }
+}
+
+/// Widest tile (columns per group) [`Hashtogram::estimate_run`] stages
+/// through its scratch buffer.
+pub const RUN_TILE: usize = 512;
+
+/// Debias one group's exact integer tally (a constant multiplier per
+/// cell) into `f64` — in place, reusing the tally's allocation — and
+/// transform it into per-bucket sums: each user contributes (in
+/// expectation) `W · (1/W) · 1` to her bucket via the orthogonality of
+/// Hadamard rows.
+fn debias_transform(row: Vec<i64>, c: f64, transform: impl FnOnce(&mut [f64])) -> Vec<f64> {
+    let mut out: Vec<f64> = row.into_iter().map(|t| c * t as f64).collect();
+    transform(&mut out);
+    out
 }
 
 /// Hoisted per-report shard ingester for [`Hashtogram`] reports (see
@@ -592,21 +709,10 @@ impl FrequencyOracle for Hashtogram {
     fn finalize(&mut self) {
         assert!(!self.finalized, "double finalize");
         let c = self.rr.debias_factor();
-        self.acc = self
-            .tallies
-            .iter()
-            .map(|row| {
-                // Debias once per cell (constant multiplier over the exact
-                // integer tally), then the WHT turns accumulated
-                // coefficients into per-bucket sums: each user contributes
-                // (in expectation) W * (1/W) * 1 to her bucket via the
-                // orthogonality of Hadamard rows.
-                let mut out: Vec<f64> = row.iter().map(|&t| c * t as f64).collect();
-                fwht(&mut out);
-                out
-            })
+        self.acc = std::mem::take(&mut self.tallies)
+            .into_iter()
+            .map(|row| debias_transform(row, c, fwht))
             .collect();
-        self.tallies = Vec::new();
         self.finalized = true;
     }
 
@@ -617,23 +723,14 @@ impl FrequencyOracle for Hashtogram {
         let rows = std::mem::take(&mut self.tallies);
         self.acc = if rows.len() <= 1 {
             // One row: the only parallelism available is inside the
-            // transform itself — the blocked WHT kernel.
+            // transform itself, which splits its blocks and column tiles.
             rows.into_iter()
-                .map(|row| {
-                    let mut out: Vec<f64> = row.iter().map(|&t| c * t as f64).collect();
-                    fwht_threaded(&mut out, threads);
-                    out
-                })
+                .map(|row| debias_transform(row, c, |v| fwht_threaded(v, threads)))
                 .collect()
         } else {
             // One row per group; rows are independent, results come back
-            // in row order — the debias + WHT per row is the serial
-            // kernel, so the output is bit-for-bit `finalize()`'s.
-            par_map_owned(rows, threads, |_, row| {
-                let mut out: Vec<f64> = row.iter().map(|&t| c * t as f64).collect();
-                fwht(&mut out);
-                out
-            })
+            // in row order — bit-for-bit `finalize()`'s.
+            par_map_owned(rows, threads, |_, row| debias_transform(row, c, fwht))
         };
         self.finalized = true;
     }
@@ -835,6 +932,91 @@ mod tests {
         sharded.finalize();
         for q in [0u64, 5, 96, 1 << 19] {
             assert_eq!(serial.estimate(q).to_bits(), sharded.estimate(q).to_bits());
+        }
+    }
+
+    /// `estimate_run` over `[start, start + len)` against per-cell
+    /// `estimate_into`, bit for bit.
+    fn assert_run_matches_points(oracle: &Hashtogram, start: u64, len: usize) {
+        let mut out = vec![f64::NAN; len];
+        let mut scratch = Vec::new();
+        oracle.estimate_run(start, &mut out, &mut scratch);
+        let mut buf = Vec::new();
+        for (i, &got) in out.iter().enumerate() {
+            let x = start + i as u64;
+            let want = oracle.estimate_into(x, &mut buf);
+            assert_eq!(got.to_bits(), want.to_bits(), "x = {x} ({start} + {i})");
+        }
+    }
+
+    #[test]
+    fn estimate_run_matches_point_queries() {
+        let n = 6_000usize;
+        // Direct with one group (the sketch's inner oracle), direct with
+        // R > 1 (the scan over a small domain), hashed (the scan over a
+        // large one); domains that are not a multiple of the tile.
+        let domain = 1_500u64;
+        let mut one_group = HashtogramParams::direct(domain, 1.0, 0.1);
+        one_group.groups = 1;
+        let cases = [
+            one_group,
+            HashtogramParams::direct(domain, 1.0, 0.1),
+            HashtogramParams::hashed(n as u64, domain, 1.0, 0.1),
+        ];
+        for (k, params) in cases.into_iter().enumerate() {
+            let data = planted_data(n, domain, &[(3, 0.2), (1_499, 0.1)], 50 + k as u64);
+            let oracle = run(params, &data, 60 + k as u64);
+            // Whole domain (three full tiles and a ragged one), an
+            // unaligned start with a ragged end, a run ending on the
+            // domain's last element, single cells and an empty run.
+            for (start, len) in [
+                (0, 1_500),
+                (7, 1_100),
+                (1_001, 499),
+                (1_499, 1),
+                (0, 1),
+                (9, 0),
+                (1_500, 0),
+            ] {
+                assert_run_matches_points(&oracle, start, len);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the domain")]
+    fn estimate_run_rejects_runs_past_the_domain() {
+        let oracle = run(HashtogramParams::direct(64, 1.0, 0.1), &[1, 2, 3], 70);
+        oracle.estimate_run(60, &mut [0.0; 5], &mut Vec::new());
+    }
+
+    #[test]
+    fn materialize_matches_collect_and_finalize() {
+        let n = 3_000u64;
+        for params in [
+            HashtogramParams::direct(200, 1.0, 0.1),
+            HashtogramParams::hashed(n, 1 << 20, 1.0, 0.1),
+        ] {
+            let proto = Hashtogram::new(params, 71);
+            let xs: Vec<u64> = (0..n).map(|i| (i * 37) % 200).collect();
+            let reports = proto.respond_batch(0, &xs, 72);
+            // Buffered runs carry arbitrary user indices, in any order.
+            let run: Vec<(u64, HashtogramReport)> = reports
+                .iter()
+                .enumerate()
+                .map(|(i, &rep)| ((i as u64 * 7919) % 100_003, rep))
+                .rev()
+                .collect();
+            let mut want = proto.clone();
+            for &(user, rep) in &run {
+                want.collect(user, rep);
+            }
+            want.finalize();
+            let got = proto.materialize(&run);
+            assert_eq!(got.total_users(), want.total_users());
+            for x in [0u64, 1, 37, 199] {
+                assert_eq!(got.estimate(x).to_bits(), want.estimate(x).to_bits());
+            }
         }
     }
 

@@ -61,7 +61,90 @@ impl KWiseHash {
     pub fn hash(&self, x: u64) -> u64 {
         self.eval_field(x) % self.range
     }
+
+    /// [`KWiseHash::eval_field`] over the run `start, start + 1, …,
+    /// start + len − 1`, by forward differences: after `k` Horner
+    /// evaluations seed the difference table, each further value costs
+    /// `k − 1` field additions instead of `k` multiplications. Exact in
+    /// `F_p`, so every value is bit-for-bit Horner's.
+    ///
+    /// The whole run must lie in the field: `start + len <= p`.
+    pub fn eval_field_run(&self, start: u64, len: usize) -> FieldRun<'_> {
+        assert!(
+            start <= MERSENNE_P && len as u64 <= MERSENNE_P - start,
+            "run {start} + {len} outside F_p domain"
+        );
+        let k = self.coeffs.len();
+        let mut run = FieldRun {
+            hash: self,
+            diffs: [0; MAX_DIFF_ORDER],
+            horner: k > MAX_DIFF_ORDER || len <= k,
+            next: start,
+            left: len,
+        };
+        if run.horner {
+            // Too short (or too high a degree) for the table to pay.
+            return run;
+        }
+        // Seed with f(start..start + k), then difference in place:
+        // afterwards diffs[j] = Δ^j f(start).
+        for (j, d) in run.diffs[..k].iter_mut().enumerate() {
+            *d = self.eval_field(start + j as u64);
+        }
+        for level in 1..k {
+            for j in (level..k).rev() {
+                run.diffs[j] = PrimeField::sub(run.diffs[j], run.diffs[j - 1]);
+            }
+        }
+        run
+    }
 }
+
+/// Highest polynomial order [`KWiseHash::eval_field_run`] steps by
+/// forward differences; higher orders fall back to Horner per value.
+const MAX_DIFF_ORDER: usize = 16;
+
+/// The iterator [`KWiseHash::eval_field_run`] returns.
+#[derive(Debug, Clone)]
+pub struct FieldRun<'a> {
+    hash: &'a KWiseHash,
+    /// `diffs[j] = Δ^j f(next)` for `j < k`.
+    diffs: [u64; MAX_DIFF_ORDER],
+    /// Evaluate by Horner per value instead.
+    horner: bool,
+    next: u64,
+    left: usize,
+}
+
+impl Iterator for FieldRun<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let x = self.next;
+        self.next += 1;
+        if self.horner {
+            return Some(self.hash.eval_field(x));
+        }
+        let value = self.diffs[0];
+        // Step every order up by one: Δ^j f(x + 1) = Δ^j f(x) + Δ^{j+1} f(x),
+        // ascending so each update reads the not-yet-stepped next order.
+        for j in 0..self.hash.coeffs.len() - 1 {
+            self.diffs[j] = PrimeField::add(self.diffs[j], self.diffs[j + 1]);
+        }
+        Some(value)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for FieldRun<'_> {}
 
 /// Pairwise independent hash (`k = 2`), the `h_m` functions of the paper.
 #[derive(Debug, Clone)]
@@ -87,6 +170,18 @@ impl PairwiseHash {
     pub fn hash(&self, x: u64) -> u64 {
         self.inner.hash(x)
     }
+
+    /// [`PairwiseHash::hash`] over the run `start .. start + len` (see
+    /// [`KWiseHash::eval_field_run`]); a power-of-two range reduces by
+    /// mask, which equals the `%` of the point query.
+    pub fn hash_run(&self, start: u64, len: usize) -> impl Iterator<Item = u64> + '_ {
+        let range = self.range();
+        let mask = range.wrapping_sub(1);
+        let pow2 = range.is_power_of_two();
+        self.inner
+            .eval_field_run(start, len)
+            .map(move |v| if pow2 { v & mask } else { v % range })
+    }
 }
 
 /// Pairwise independent ±1 sign hash (used by count-sketch style oracles).
@@ -108,7 +203,20 @@ impl SignHash {
     /// Returns −1 or +1.
     #[inline]
     pub fn sign(&self, x: u64) -> i64 {
-        if self.inner.hash(x) & 1 == 0 {
+        Self::of_bit(self.inner.hash(x))
+    }
+
+    /// [`SignHash::sign`] over the run `start .. start + len` (see
+    /// [`KWiseHash::eval_field_run`]). The range `2^32` is even, so the
+    /// parity of the reduced hash is the parity of the field value and
+    /// the run skips the reduction.
+    pub fn sign_run(&self, start: u64, len: usize) -> impl Iterator<Item = i64> + '_ {
+        self.inner.eval_field_run(start, len).map(Self::of_bit)
+    }
+
+    #[inline]
+    fn of_bit(v: u64) -> i64 {
+        if v & 1 == 0 {
             1
         } else {
             -1
@@ -226,6 +334,46 @@ mod tests {
             sum += SignHash::new(seed).sign(42);
         }
         assert!((sum as f64 / trials as f64).abs() < 0.02);
+    }
+
+    #[test]
+    fn field_runs_match_horner() {
+        // Orders 1, 2, 4, 8 (constant through degree 7), runs shorter
+        // than, equal to and past the order, starting at zero, mid-field
+        // and flush against p.
+        for k in [1usize, 2, 4, 8] {
+            let h = KWiseHash::new(40 + k as u64, k, 1 << 20);
+            for len in [0usize, 1, k, k + 1, 1000] {
+                for start in [0u64, 12_345, MERSENNE_P - len as u64] {
+                    let got: Vec<u64> = h.eval_field_run(start, len).collect();
+                    let want: Vec<u64> = (start..start + len as u64)
+                        .map(|x| h.eval_field(x))
+                        .collect();
+                    assert_eq!(got, want, "k = {k}, start = {start}, len = {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hash_and_sign_runs_match_point_queries() {
+        for range in [1024u64, 1000] {
+            let h = PairwiseHash::new(5, range);
+            let got: Vec<u64> = h.hash_run(777, 600).collect();
+            let want: Vec<u64> = (777..1377).map(|x| h.hash(x)).collect();
+            assert_eq!(got, want, "range = {range}");
+        }
+        let s = SignHash::new(6);
+        let got: Vec<i64> = s.sign_run(31, 600).collect();
+        let want: Vec<i64> = (31..631).map(|x| s.sign(x)).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside F_p domain")]
+    fn field_run_must_end_inside_the_field() {
+        let h = KWiseHash::new(1, 2, 10);
+        let _ = h.eval_field_run(MERSENNE_P - 3, 4);
     }
 
     #[test]

@@ -19,94 +19,193 @@ pub fn hadamard_entry(i: u64, j: u64) -> i8 {
     }
 }
 
+/// Length of the L1-resident blocks the low butterfly levels run in:
+/// `2^11` doubles = 16 KiB. Every level `h < BLOCK` pairs elements of one
+/// aligned block, so a block finishes all its low levels in cache before
+/// the next block is touched.
+const BLOCK: usize = 1 << 11;
+
+/// Butterfly levels one column-tile pass fuses (radix `2^4 = 16`).
+const TILE_LEVELS: u32 = 4;
+
+/// Columns per tile: 16 rows × 128 columns × 8 B = 16 KiB, so the four
+/// fused levels of a tile stay in L1.
+const TILE_COLS: usize = 128;
+
 /// In-place fast Walsh–Hadamard transform (unnormalized).
 ///
 /// `data.len()` must be a power of two. Applying the transform twice
 /// multiplies by `len`: `WHT(WHT(x)) = len · x`.
+///
+/// Cache-blocked: the levels below `2^11` run block by block inside L1,
+/// then the high levels run as radix-16 passes over column tiles — one
+/// sweep over memory per four levels instead of one per level. Every
+/// butterfly still receives exactly the two inputs the textbook
+/// level-by-level loop gives it, so the output is bit-for-bit that
+/// loop's.
 pub fn fwht(data: &mut [f64]) {
-    let n = data.len();
-    assert!(
-        n.is_power_of_two(),
-        "WHT length must be a power of two: {n}"
-    );
-    let mut h = 1;
-    while h < n {
-        let mut i = 0;
-        while i < n {
-            for j in i..i + h {
-                let x = data[j];
-                let y = data[j + h];
-                data[j] = x + y;
-                data[j + h] = x - y;
-            }
-            i += h * 2;
-        }
-        h *= 2;
-    }
+    fwht_threaded(data, 1);
 }
 
-/// In-place fast Walsh–Hadamard transform, blocked across worker
-/// threads — bit-for-bit equal to [`fwht`] for every `threads`
-/// (`0` = the available hardware parallelism).
+/// In-place fast Walsh–Hadamard transform on worker threads —
+/// bit-for-bit equal to [`fwht`] for every `threads` (`0` = the
+/// available hardware parallelism).
 ///
-/// At butterfly level `h` the transform touches disjoint `2h`-blocks:
-/// `data[0..2h]`, `data[2h..4h]`, … — each block's butterflies read and
-/// write only that block, so whole blocks can run on different workers
-/// with no shared state, and every element sees the *identical*
-/// floating-point operation sequence as the serial loop. Small
-/// transforms (or `threads <= 1`) fall straight through to the serial
-/// kernel — blocking only pays when the per-level work dwarfs a scope
-/// spawn.
+/// The schedule is [`fwht`]'s own: the low-level blocks are independent,
+/// and so are the column tiles of each high-level pass, so every phase
+/// hands disjoint slices to the workers and each element sees the
+/// identical floating-point operation sequence as the serial transform.
+/// Small transforms (or `threads <= 1`) run on the calling thread —
+/// fan-out only pays when a pass dwarfs a scope spawn.
 pub fn fwht_threaded(data: &mut [f64], threads: usize) {
     let n = data.len();
     assert!(
         n.is_power_of_two(),
         "WHT length must be a power of two: {n}"
     );
-    let threads = hh_par_threads(threads, n);
-    if threads <= 1 || n < (1 << 12) {
-        fwht(data);
-        return;
-    }
-    let mut h = 1;
+    let threads = if n < (1 << 12) {
+        1
+    } else {
+        hh_par_threads(threads, n)
+    };
+    // Low levels: whole blocks, a contiguous run of them per worker.
+    let block = BLOCK.min(n);
+    let per = (n / block).div_ceil(threads) * block;
+    for_each_unit(data.chunks_mut(per), threads, |run| {
+        for b in run.chunks_mut(block) {
+            fwht_levels(b);
+        }
+    });
+    // High levels: radix-16 passes, the last one radix 2^r (r < 4) when
+    // the level count is not a multiple of four. A pass at stride `h`
+    // fusing `r` levels cuts the array into super-blocks of `h << r`
+    // elements, each `2^r` rows of width `h` whose columns are
+    // independent sub-transforms.
+    let mut h = block;
     while h < n {
-        let num_blocks = n / (h * 2);
-        if num_blocks <= 1 {
-            // One block left (the last levels): butterflies of the block
-            // are themselves independent — split the `j` range.
-            let (lo, hi) = data.split_at_mut(h);
-            let per = h.div_ceil(threads).max(1);
-            rayon::scope(|s| {
-                for (a, b) in lo.chunks_mut(per).zip(hi.chunks_mut(per)) {
-                    s.spawn(move |_| {
-                        for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-                            let (u, v) = (*x, *y);
-                            *x = u + v;
-                            *y = u - v;
-                        }
-                    });
-                }
-            });
-        } else {
-            // Distribute contiguous runs of 2h-blocks over the workers.
-            let per = num_blocks.div_ceil(threads).max(1) * (h * 2);
-            rayon::scope(|s| {
-                for run in data.chunks_mut(per) {
-                    s.spawn(move |_| {
-                        for block in run.chunks_mut(h * 2) {
-                            let (lo, hi) = block.split_at_mut(h);
-                            for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                                let (u, v) = (*x, *y);
-                                *x = u + v;
-                                *y = u - v;
-                            }
-                        }
-                    });
-                }
-            });
+        let r = (n / h).trailing_zeros().min(TILE_LEVELS);
+        let supers = n / (h << r);
+        // Fewer super-blocks than workers: split each one's columns
+        // (a power of two, so the split widths divide `h`).
+        let splits = threads
+            .div_ceil(supers)
+            .next_power_of_two()
+            .min(h / TILE_COLS);
+        let units = data
+            .chunks_mut(h << r)
+            .flat_map(|sup| column_units(sup, h, splits));
+        for_each_unit(units, threads, |mut unit| {
+            column_pass(&mut unit.rows[..unit.count]);
+        });
+        h <<= r;
+    }
+}
+
+/// The textbook level-by-level transform (its first two levels fused
+/// per quad) — the kernel for one L1-resident block.
+fn fwht_levels(data: &mut [f64]) {
+    let n = data.len();
+    let mut h = 1;
+    if n >= 4 {
+        // Levels h = 1 and h = 2 fused per quad: the same four sums and
+        // four differences, without the per-pair loop overhead.
+        for q in data.chunks_exact_mut(4) {
+            let (a, b) = (q[0] + q[1], q[0] - q[1]);
+            let (c, d) = (q[2] + q[3], q[2] - q[3]);
+            q[0] = a + c;
+            q[1] = b + d;
+            q[2] = a - c;
+            q[3] = b - d;
+        }
+        h = 4;
+    }
+    while h < n {
+        for block in data.chunks_mut(h * 2) {
+            let (lo, hi) = block.split_at_mut(h);
+            butterflies(lo, hi);
         }
         h *= 2;
     }
+}
+
+/// `lo[i], hi[i] ← lo[i] + hi[i], lo[i] − hi[i]`.
+#[inline]
+fn butterflies(lo: &mut [f64], hi: &mut [f64]) {
+    for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+        let (u, v) = (*x, *y);
+        *x = u + v;
+        *y = u - v;
+    }
+}
+
+/// The first `count` rows of one super-block, cut to one column range.
+struct ColumnUnit<'a> {
+    rows: [&'a mut [f64]; 1 << TILE_LEVELS],
+    count: usize,
+}
+
+/// Cut a super-block of `len / h` rows of width `h` into `splits`
+/// column ranges of equal width.
+fn column_units(sup: &mut [f64], h: usize, splits: usize) -> impl Iterator<Item = ColumnUnit<'_>> {
+    let count = sup.len() / h;
+    let mut rest: [&mut [f64]; 1 << TILE_LEVELS] = Default::default();
+    for (slot, row) in rest.iter_mut().zip(sup.chunks_mut(h)) {
+        *slot = row;
+    }
+    let width = h / splits;
+    (0..splits).map(move |_| {
+        let mut unit = ColumnUnit {
+            rows: Default::default(),
+            count,
+        };
+        for (slot, row) in unit.rows.iter_mut().zip(rest.iter_mut()).take(count) {
+            let (head, tail) = std::mem::take(row).split_at_mut(width);
+            *slot = head;
+            *row = tail;
+        }
+        unit
+    })
+}
+
+/// All `log2(rows.len())` butterfly levels across `rows`, one column
+/// tile at a time. Rows sit `h` apart in the array, so the level with
+/// row distance `s` — row `a` against row `a + s`, bit `s` of `a` clear —
+/// is the level `s · h` butterfly of the full transform.
+fn column_pass(rows: &mut [&mut [f64]]) {
+    let width = rows[0].len();
+    let mut c = 0;
+    while c < width {
+        let e = (c + TILE_COLS).min(width);
+        let mut s = 1;
+        while s < rows.len() {
+            for a in (0..rows.len()).filter(|a| a & s == 0) {
+                let (lo, hi) = rows.split_at_mut(a + s);
+                butterflies(&mut lo[a][c..e], &mut hi[0][c..e]);
+            }
+            s *= 2;
+        }
+        c = e;
+    }
+}
+
+/// Run `f` on every unit: in order on the calling thread when
+/// `threads <= 1`, else contiguous groups of units per worker.
+fn for_each_unit<T: Send>(units: impl Iterator<Item = T>, threads: usize, f: impl Fn(T) + Sync) {
+    if threads <= 1 {
+        units.for_each(f);
+        return;
+    }
+    let units: Vec<T> = units.collect();
+    let per = units.len().div_ceil(threads).max(1);
+    let mut units = units.into_iter();
+    let f = &f;
+    rayon::scope(|s| loop {
+        let group: Vec<T> = units.by_ref().take(per).collect();
+        if group.is_empty() {
+            break;
+        }
+        s.spawn(move |_| group.into_iter().for_each(f));
+    });
 }
 
 /// The effective worker count (`0` = hardware), local so `wht` does not
@@ -222,25 +321,62 @@ mod tests {
         fwht(&mut x);
     }
 
+    /// The level-by-level loop the blocked transform replaced, kept as
+    /// the bit-for-bit reference.
+    fn fwht_reference(data: &mut [f64]) {
+        let n = data.len();
+        let mut h = 1;
+        while h < n {
+            let mut i = 0;
+            while i < n {
+                for j in i..i + h {
+                    let x = data[j];
+                    let y = data[j + h];
+                    data[j] = x + y;
+                    data[j + h] = x - y;
+                }
+                i += h * 2;
+            }
+            h *= 2;
+        }
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn blocked_matches_level_by_level_loop() {
+        // Every length 2^0..2^20: below, at and just above the block
+        // (2^10, 2^11, 2^12), and high-level counts of 1..9 — so both
+        // full radix-16 passes and every ragged final radix occur.
+        let mut rng = SmallRng::seed_from_u64(29);
+        for k in 0..=20u32 {
+            let n = 1usize << k;
+            let data: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let mut want = data.clone();
+            fwht_reference(&mut want);
+            let mut got = data;
+            fwht(&mut got);
+            assert!(same_bits(&got, &want), "k = {k}");
+        }
+    }
+
     #[test]
     fn threaded_is_bit_identical_to_serial() {
         let mut rng = SmallRng::seed_from_u64(23);
-        // Cover both the small fall-through and the blocked path (the
-        // blocked kernel engages at 2^12).
-        for k in [0u32, 3, 8, 13] {
+        // The small fall-through (below 2^12), one ragged high pass
+        // (2^13), a full radix-16 pass (2^15), and a full pass plus a
+        // ragged one (2^18).
+        for k in [0u32, 3, 8, 13, 15, 18] {
             let n = 1usize << k;
             let data: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
             let mut want = data.clone();
             fwht(&mut want);
-            for threads in [0, 1, 2, 3, 7] {
+            for threads in [0, 1, 2, 3, 4, 7] {
                 let mut got = data.clone();
                 fwht_threaded(&mut got, threads);
-                assert!(
-                    got.iter()
-                        .zip(&want)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "k = {k}, threads = {threads}"
-                );
+                assert!(same_bits(&got, &want), "k = {k}, threads = {threads}");
             }
         }
     }
