@@ -51,9 +51,11 @@
 //!   convert+compare per coin, modulo row picks, a full per-user RNG
 //!   construction — emulated in this binary; the library path no longer
 //!   exists), with the fused kernel bytes checked bit-for-bit against
-//!   the scalar kernel path over the same users; with `--json` /
-//!   `--json-out` the records land in the JSON document as `client`
-//!   rows.
+//!   the scalar kernel path over the same users; the expander sketch
+//!   rows also carry `cell_secs`, the shared `coord_of` + `cell_of`
+//!   encoding alone, which the sampling-only ratio cannot see; with
+//!   `--json` / `--json-out` the records land in the JSON document as
+//!   `client` rows.
 //! * `--finish-bench` — measure the server-side finish (decode)
 //!   wall-clock: the parallel scratch-threaded `finish_with` against
 //!   the forced-serial path over the four registry heavy-hitter
@@ -68,10 +70,11 @@
 //!   `finish` rows.
 //! * `--quick` — small-n profile (CI smoke runs).
 //! * `--json` — additionally run the serial-vs-batched comparison, the
-//!   collector-count merge-scaling sweep, the ingest throughput
-//!   comparison *and* the pipeline comparison (implied, so the document
-//!   is always written whole), and write the machine-readable record
-//!   (the perf-trajectory baseline tracked across PRs).
+//!   collector-count merge-scaling sweep, the streaming engine, the
+//!   ingest, pipeline, finish and client throughput comparisons
+//!   (implied, so the document is always written whole), and write the
+//!   machine-readable record (the perf-trajectory baseline tracked
+//!   across PRs).
 //! * `--json-out <path>` — where `--json` (and the implied comparisons)
 //!   write (default `BENCH_table1.json`).
 
@@ -514,12 +517,18 @@ fn ingest_throughput<I: MaterializingIngest>(
 /// two entry points. The legacy emulation necessarily draws different
 /// streams, so only its wall-clock is recorded. Records land in the
 /// JSON document as `client` rows (users/sec).
+///
+/// `cell`, when given, times the protocol's per-user encoding work that
+/// both paths share (the sketch's `coord_of` + `cell_of`) over the same
+/// users, min of `REPS`; it lands in both records as `cell_secs`,
+/// because the legacy/kernel ratio cannot see that layer.
 fn client_throughput(
     name: &str,
     users: usize,
     legacy: impl Fn(&mut Vec<u8>),
     kernel: impl Fn(&mut Vec<u8>),
     kernel_serial: impl Fn(&mut Vec<u8>),
+    cell: Option<&dyn Fn() -> u64>,
 ) -> Vec<String> {
     const REPS: usize = 5;
     let mut legacy_buf = Vec::new();
@@ -552,14 +561,32 @@ fn client_throughput(
         n / kernel_secs.max(1e-9),
         legacy_secs / kernel_secs.max(1e-9),
     );
+    let cell_secs = cell.map(|cell| {
+        let mut secs = f64::INFINITY;
+        for _ in 0..REPS {
+            let t = Instant::now();
+            std::hint::black_box(cell());
+            secs = secs.min(t.elapsed().as_secs_f64());
+        }
+        println!(
+            "  {name:>16}: cell encoding {:>7.0} ns/user (shared by both paths: \
+             the ratio above is sampling only)",
+            secs * 1e9 / n
+        );
+        secs
+    });
     let record = |path: &str, secs: f64| {
-        JsonObject::new()
+        let obj = JsonObject::new()
             .str("protocol", name)
             .str("path", path)
             .int("n", users as u64)
             .num("client_secs", secs)
-            .num("users_per_sec", n / secs.max(1e-9))
-            .build()
+            .num("users_per_sec", n / secs.max(1e-9));
+        match cell_secs {
+            Some(c) => obj.num("cell_secs", c),
+            None => obj,
+        }
+        .build()
     };
     vec![record("legacy", legacy_secs), record("kernel", kernel_secs)]
 }
@@ -981,6 +1008,7 @@ fn main() {
     // A baseline write always includes every throughput comparison: the
     // JSON document is written whole, so omitting rows would erase the
     // tracked history.
+    let stream = stream || emit_json;
     let ingest_bench = ingest_bench || emit_json;
     let pipeline_bench = pipeline_bench || emit_json;
     let finish_bench = finish_bench || emit_json;
@@ -1290,6 +1318,7 @@ fn main() {
                         out.extend_from_slice(&rep);
                     }
                 },
+                None,
             ));
         }
 
@@ -1328,6 +1357,7 @@ fn main() {
                         write_uint(out, v);
                     }
                 },
+                None,
             ));
         }
 
@@ -1361,6 +1391,7 @@ fn main() {
                             .encode_into(out);
                     }
                 },
+                None,
             ));
         }
 
@@ -1412,6 +1443,11 @@ fn main() {
                             .encode_into(out);
                     }
                 },
+                Some(&|| {
+                    data.iter().enumerate().fold(0u64, |acc, (i, &x)| {
+                        acc ^ s.cell_of(s.coord_of(i as u64), x)
+                    })
+                }),
             ));
         }
     }

@@ -68,6 +68,27 @@ impl ReedSolomon {
 
     /// Encode `k` message symbols (each `< 2^m`) into `n` codeword symbols.
     pub fn encode(&self, msg: &[u16]) -> Vec<u16> {
+        self.check_message(msg);
+        self.points
+            .iter()
+            .map(|&x| self.gf.poly_eval(msg, x))
+            .collect()
+    }
+
+    /// Codeword symbol `i` of `msg` alone — `encode(msg)[i]`, by one
+    /// polynomial evaluation at `α^i` and without allocating.
+    pub fn encode_symbol(&self, msg: &[u16], i: usize) -> u16 {
+        self.check_message(msg);
+        assert!(
+            i < self.n,
+            "symbol index {i} outside block length {}",
+            self.n
+        );
+        self.gf.poly_eval(msg, self.points[i])
+    }
+
+    /// The message checks every encoder runs: `k` symbols, each `< 2^m`.
+    fn check_message(&self, msg: &[u16]) {
         assert_eq!(
             msg.len(),
             self.k,
@@ -81,10 +102,6 @@ impl ReedSolomon {
                 self.gf.bits()
             );
         }
-        self.points
-            .iter()
-            .map(|&x| self.gf.poly_eval(msg, x))
-            .collect()
     }
 
     /// Decode a received word with `None` marking erasures.
@@ -284,6 +301,45 @@ mod tests {
         let cw = rs.encode(&msg);
         let received: Vec<Option<u16>> = cw.iter().map(|&c| Some(c)).collect();
         assert_eq!(rs.decode(&received), Some(msg));
+    }
+
+    #[test]
+    fn encode_symbol_matches_full_encoding() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        for (bits, n, k) in [
+            (4u32, 15usize, 7usize),
+            (4, 10, 5),
+            (8, 255, 100),
+            (8, 40, 12),
+        ] {
+            let rs = ReedSolomon::new(bits, n, k);
+            let size = 1u16 << bits;
+            for _ in 0..20 {
+                let msg: Vec<u16> = (0..k).map(|_| rng.gen_range(0..size)).collect();
+                let cw = rs.encode(&msg);
+                for (i, &sym) in cw.iter().enumerate() {
+                    assert_eq!(
+                        rs.encode_symbol(&msg, i),
+                        sym,
+                        "GF(2^{bits}) [{n}, {k}] i = {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside block length")]
+    fn encode_symbol_rejects_out_of_block_index() {
+        let rs = ReedSolomon::new(4, 10, 5);
+        let _ = rs.encode_symbol(&[1, 2, 3, 4, 5], 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside GF(2^4)")]
+    fn encode_symbol_rejects_out_of_field_symbols() {
+        let rs = ReedSolomon::new(4, 10, 5);
+        let _ = rs.encode_symbol(&[1, 2, 16, 4, 5], 0);
     }
 
     #[test]

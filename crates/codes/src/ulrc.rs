@@ -28,6 +28,10 @@ use hh_graph::Graph;
 use hh_hash::family::labels;
 use hh_hash::{HashFamily, PairwiseHash};
 
+/// Longest outer-code message: a 64-bit domain in the narrowest
+/// supported symbols (`GF(2^3)`).
+const MAX_MESSAGE_SYMBOLS: usize = 64usize.div_ceil(3);
+
 /// Parameters of a [`UniqueListCode`].
 #[derive(Debug, Clone)]
 pub struct UlrcParams {
@@ -98,6 +102,11 @@ impl UniqueListCode {
     /// Build the code from parameters and a public-randomness seed (which
     /// fixes the hashes `h_m` and the expander).
     pub fn new(params: UlrcParams, seed: u64) -> Self {
+        assert!(
+            params.domain_bits <= 64,
+            "domain of {} bits exceeds u64 messages",
+            params.domain_bits
+        );
         let k = params.domain_bits.div_ceil(params.gf_bits) as usize;
         assert!(
             k <= params.num_coords,
@@ -167,17 +176,20 @@ impl UniqueListCode {
         self.hashes[m].hash(x)
     }
 
-    /// Message symbols of `x` (little-endian `gf_bits` chunks).
-    fn message_symbols(&self, x: u64) -> Vec<u16> {
+    /// Message symbols of `x` (little-endian `gf_bits` chunks) in a stack
+    /// buffer: the first `k` entries are the message, the rest zero.
+    fn message_symbols(&self, x: u64) -> [u16; MAX_MESSAGE_SYMBOLS] {
         assert!(
             self.params.domain_bits == 64 || x < (1u64 << self.params.domain_bits),
             "x = {x} outside the {}-bit domain",
             self.params.domain_bits
         );
         let mask = (1u64 << self.params.gf_bits) - 1;
-        (0..self.rs.message_len())
-            .map(|i| ((x >> (i as u32 * self.params.gf_bits)) & mask) as u16)
-            .collect()
+        let mut syms = [0u16; MAX_MESSAGE_SYMBOLS];
+        for (i, s) in syms[..self.rs.message_len()].iter_mut().enumerate() {
+            *s = ((x >> (i as u32 * self.params.gf_bits)) & mask) as u16;
+        }
+        syms
     }
 
     fn symbols_to_message(&self, syms: &[u16]) -> u64 {
@@ -189,8 +201,23 @@ impl UniqueListCode {
     /// Pack `(rs symbol, neighbor hash values)` into `z < Z`.
     pub fn pack_z(&self, sym: u16, neighbor_ys: &[u64]) -> u64 {
         debug_assert_eq!(neighbor_ys.len(), self.params.degree);
+        self.pack_ys(sym, neighbor_ys.iter().copied())
+    }
+
+    /// `z` of coordinate `m` given its Reed–Solomon symbol: the neighbor
+    /// hashes `h_{Γ(m)_k}(x)` are packed as they are computed. The one
+    /// packing both [`UniqueListCode::enc_tilde`] and
+    /// [`UniqueListCode::encode`] go through.
+    fn pack_tilde(&self, sym: u16, x: u64, m: usize) -> u64 {
+        let ys = self.graph.neighbors(m).iter();
+        self.pack_ys(sym, ys.map(|&mp| self.coord_hash(mp as usize, x)))
+    }
+
+    /// The `z` layout: neighbor values in base `Y`, first neighbor least
+    /// significant, above the `gf_bits`-bit symbol.
+    fn pack_ys(&self, sym: u16, ys: impl DoubleEndedIterator<Item = u64>) -> u64 {
         let mut acc = 0u64;
-        for &y in neighbor_ys.iter().rev() {
+        for y in ys.rev() {
             debug_assert!(y < self.params.y_range);
             acc = acc * self.params.y_range + y;
         }
@@ -212,31 +239,21 @@ impl UniqueListCode {
     }
 
     /// `E~nc(x)_m` packed as `z` (everything except the leading `h_m(x)`).
+    ///
+    /// Allocation-free: only codeword symbol `m` is evaluated, and the
+    /// neighbor hashes are packed as they are computed.
     pub fn enc_tilde(&self, x: u64, m: usize) -> u64 {
-        let cw = self.rs.encode(&self.message_symbols(x));
-        self.enc_tilde_with_codeword(&cw, x, m)
-    }
-
-    fn enc_tilde_with_codeword(&self, cw: &[u16], x: u64, m: usize) -> u64 {
-        let neighbor_ys: Vec<u64> = self
-            .graph
-            .neighbors(m)
-            .iter()
-            .map(|&mp| self.coord_hash(mp as usize, x))
-            .collect();
-        self.pack_z(cw[m], &neighbor_ys)
+        let msg = self.message_symbols(x);
+        let sym = self.rs.encode_symbol(&msg[..self.rs.message_len()], m);
+        self.pack_tilde(sym, x, m)
     }
 
     /// Full encoding `Enc(x) = ((h_1(x), z_1), …, (h_M(x), z_M))`.
     pub fn encode(&self, x: u64) -> Vec<(u64, u64)> {
-        let cw = self.rs.encode(&self.message_symbols(x));
+        let msg = self.message_symbols(x);
+        let cw = self.rs.encode(&msg[..self.rs.message_len()]);
         (0..self.params.num_coords)
-            .map(|m| {
-                (
-                    self.coord_hash(m, x),
-                    self.enc_tilde_with_codeword(&cw, x, m),
-                )
-            })
+            .map(|m| (self.coord_hash(m, x), self.pack_tilde(cw[m], x, m)))
             .collect()
     }
 
@@ -581,6 +598,29 @@ mod tests {
     fn rejects_out_of_domain_message() {
         let c = code(16, 17);
         let _ = c.encode(0x1_0000);
+    }
+
+    #[test]
+    fn enc_tilde_matches_full_encoding() {
+        let mut rng = SmallRng::seed_from_u64(18);
+        for domain_bits in [4u32, 16, 20, 24, 40] {
+            let c = code(domain_bits, 19 + u64::from(domain_bits));
+            let top = (1u64 << domain_bits) - 1;
+            let random = (0..50).map(|_| rng.gen_range(0..=top));
+            for x in [0, 1, top].into_iter().chain(random) {
+                let enc = c.encode(x);
+                for (m, &(_, z)) in enc.iter().enumerate() {
+                    assert_eq!(c.enc_tilde(x, m), z, "{domain_bits} bits, x = {x}, m = {m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn enc_tilde_rejects_out_of_domain_message() {
+        let c = code(16, 20);
+        let _ = c.enc_tilde(0x1_0000, 0);
     }
 
     #[test]

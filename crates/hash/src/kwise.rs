@@ -45,15 +45,47 @@ impl KWiseHash {
     }
 
     /// Raw polynomial evaluation in `F_p` (before range reduction).
+    ///
+    /// Short polynomials (`k < 8`) run plain Horner. Longer ones split
+    /// `f(x) = Σ_r x^r·f_r(x⁴)` by coefficient index mod 4, step the four
+    /// Horner chains in `x⁴` side by side — independent multiplies the
+    /// core overlaps, instead of one `k`-long dependent chain — and
+    /// combine them by a 3-step Horner in `x`. Every step is an exact
+    /// canonical field operation, so the value equals plain Horner's.
     #[inline]
     pub fn eval_field(&self, x: u64) -> u64 {
         assert!(x < MERSENNE_P, "input {x} outside F_p domain");
-        // Horner's rule, highest coefficient first.
-        let mut acc = 0u64;
-        for &c in self.coeffs.iter().rev() {
-            acc = PrimeField::add(PrimeField::mul(acc, x), c);
+        let coeffs = &self.coeffs;
+        if coeffs.len() < 8 {
+            // Horner's rule, highest coefficient first.
+            let mut acc = 0u64;
+            for &c in coeffs.iter().rev() {
+                acc = PrimeField::add(PrimeField::mul(acc, x), c);
+            }
+            return acc;
         }
-        acc
+        let x2 = PrimeField::mul(x, x);
+        let x4 = PrimeField::mul(x2, x2);
+        // acc[r] = f_r(x⁴), seeded with the top (possibly partial) block.
+        let blocks = coeffs.chunks_exact(4);
+        let top = blocks.remainder();
+        let mut blocks = blocks.rev();
+        let mut acc = [0u64; 4];
+        if top.is_empty() {
+            acc.copy_from_slice(blocks.next().expect("k >= 8 has a full block"));
+        } else {
+            acc[..top.len()].copy_from_slice(top);
+        }
+        for block in blocks {
+            for (a, &c) in acc.iter_mut().zip(block) {
+                *a = PrimeField::add(PrimeField::mul(*a, x4), c);
+            }
+        }
+        let mut out = acc[3];
+        for &a in acc[..3].iter().rev() {
+            out = PrimeField::add(PrimeField::mul(out, x), a);
+        }
+        out
     }
 
     /// Hash into `[0, range)`.
@@ -336,18 +368,50 @@ mod tests {
         assert!((sum as f64 / trials as f64).abs() < 0.02);
     }
 
+    /// Plain Horner over the raw coefficients: the reference
+    /// [`KWiseHash::eval_field`] must equal for every `k`.
+    fn horner_reference(h: &KWiseHash, x: u64) -> u64 {
+        h.coeffs
+            .iter()
+            .rev()
+            .fold(0u64, |acc, &c| PrimeField::add(PrimeField::mul(acc, x), c))
+    }
+
+    #[test]
+    fn eval_field_matches_horner_reference_for_every_k() {
+        // k in 1..=64 covers the plain loop (k < 8) and every chain
+        // remainder k mod 4 of the interleaved path.
+        let mut rng = seeded_rng(0x6576_616C);
+        for k in 1..=64usize {
+            let h = KWiseHash::new(1_000 + k as u64, k, 1 << 20);
+            let edges = [0u64, 1, 2, MERSENNE_P - 2, MERSENNE_P - 1];
+            let random = (0..200).map(|_| rng.gen_range(0..MERSENNE_P));
+            for x in edges.into_iter().chain(random) {
+                assert_eq!(h.eval_field(x), horner_reference(&h, x), "k = {k}, x = {x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside F_p domain")]
+    fn interleaved_path_rejects_out_of_field_inputs() {
+        let h = KWiseHash::new(2, 40, 10);
+        let _ = h.eval_field(MERSENNE_P);
+    }
+
     #[test]
     fn field_runs_match_horner() {
-        // Orders 1, 2, 4, 8 (constant through degree 7), runs shorter
+        // Orders 1, 2, 4, 8 (constant through degree 7) and 24 (past the
+        // difference table, so per-value evaluation), runs shorter
         // than, equal to and past the order, starting at zero, mid-field
         // and flush against p.
-        for k in [1usize, 2, 4, 8] {
+        for k in [1usize, 2, 4, 8, 24] {
             let h = KWiseHash::new(40 + k as u64, k, 1 << 20);
             for len in [0usize, 1, k, k + 1, 1000] {
                 for start in [0u64, 12_345, MERSENNE_P - len as u64] {
                     let got: Vec<u64> = h.eval_field_run(start, len).collect();
                     let want: Vec<u64> = (start..start + len as u64)
-                        .map(|x| h.eval_field(x))
+                        .map(|x| horner_reference(&h, x))
                         .collect();
                     assert_eq!(got, want, "k = {k}, start = {start}, len = {len}");
                 }

@@ -17,7 +17,7 @@
 //!   merge order cannot perturb sums (no floating-point reassociation).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::Mutex;
 
 /// A recycling pool of byte buffers: [`BufferPool::take`] hands out a
 /// cleared buffer (reusing returned capacity when available),
@@ -254,12 +254,10 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, U)>();
+    let slots = Slots::new(num_chunks);
     rayon::scope(|s| {
         for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
+            let (cursor, slots, f) = (&cursor, &slots, &f);
             s.spawn(move |_| loop {
                 let c = cursor.fetch_add(1, Ordering::Relaxed);
                 if c >= num_chunks {
@@ -267,24 +265,11 @@ where
                 }
                 let lo = c * chunk_size;
                 let hi = (lo + chunk_size).min(items.len());
-                let out = f(c, &items[lo..hi]);
-                if tx.send((c, out)).is_err() {
-                    break;
-                }
+                slots.put(c, f(c, &items[lo..hi]));
             });
         }
     });
-    drop(tx);
-
-    let mut slots: Vec<Option<U>> = (0..num_chunks).map(|_| None).collect();
-    for (c, out) in rx {
-        slots[c] = Some(out);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(c, s)| s.unwrap_or_else(|| panic!("chunk {c} produced no result")))
-        .collect()
+    slots.into_vec()
 }
 
 /// Parallel for: map `f` over the indices `0 .. num_items`, returning
@@ -308,34 +293,20 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, U)>();
+    let slots = Slots::new(num_items);
     rayon::scope(|s| {
         for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
+            let (cursor, slots, f) = (&cursor, &slots, &f);
             s.spawn(move |_| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= num_items {
                     break;
                 }
-                if tx.send((i, f(i))).is_err() {
-                    break;
-                }
+                slots.put(i, f(i));
             });
         }
     });
-    drop(tx);
-
-    let mut slots: Vec<Option<U>> = (0..num_items).map(|_| None).collect();
-    for (i, out) in rx {
-        slots[i] = Some(out);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| panic!("index {i} produced no result")))
-        .collect()
+    slots.into_vec()
 }
 
 /// Map `f` over the chunks of a slice, each chunk paired with one owned
@@ -391,36 +362,49 @@ where
             .collect();
     }
 
-    let source = std::sync::Mutex::new(items.into_iter().enumerate());
-    let (tx, rx) = mpsc::channel::<(usize, U)>();
+    let source = Mutex::new(items.into_iter().enumerate());
+    let slots = Slots::new(n);
     rayon::scope(|s| {
         for _ in 0..threads {
-            let tx = tx.clone();
-            let source = &source;
-            let f = &f;
+            let (source, slots, f) = (&source, &slots, &f);
             s.spawn(move |_| loop {
                 let next = source
                     .lock()
                     .expect("worker panicked with the queue")
                     .next();
                 let Some((i, item)) = next else { break };
-                if tx.send((i, f(i, item))).is_err() {
-                    break;
-                }
+                slots.put(i, f(i, item));
             });
         }
     });
-    drop(tx);
+    slots.into_vec()
+}
 
-    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    for (i, out) in rx {
-        slots[i] = Some(out);
+/// One result slot per work unit, filled by the `par_*` workers in
+/// whatever order they finish. The slots are allocated once, up front,
+/// so a parallel map's allocation count does not depend on thread
+/// timing (a channel allocates its blocks as sends race).
+struct Slots<U>(Mutex<Vec<Option<U>>>);
+
+impl<U> Slots<U> {
+    fn new(n: usize) -> Self {
+        Self(Mutex::new((0..n).map(|_| None).collect()))
     }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| panic!("item {i} produced no result")))
-        .collect()
+
+    fn put(&self, i: usize, out: U) {
+        self.0.lock().expect("a worker panicked while storing")[i] = Some(out);
+    }
+
+    /// The results in unit order.
+    fn into_vec(self) -> Vec<U> {
+        self.0
+            .into_inner()
+            .expect("a worker panicked while storing")
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| s.unwrap_or_else(|| panic!("unit {i} produced no result")))
+            .collect()
+    }
 }
 
 #[cfg(test)]

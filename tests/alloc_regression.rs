@@ -1,8 +1,10 @@
 //! Allocation regressions in the steady-state streaming paths, pinned
-//! with a counting global allocator: repeated checkpoints reuse their
-//! snapshot buffers, and repeated mid-stream queries (`finish_at_epoch`
-//! / `snapshot_shard`) reuse their pooled decode buffers — per-call
-//! allocation counts must stay flat, never grow with call count.
+//! with a counting global allocator: the expander sketch's client
+//! encoder allocates per call, never per user; repeated checkpoints
+//! reuse their snapshot buffers, and repeated mid-stream queries
+//! (`finish_at_epoch` / `snapshot_shard`) reuse their pooled decode
+//! buffers — per-call allocation counts must stay flat, never grow with
+//! call count.
 //!
 //! This file holds exactly one `#[test]`: the harness runs a binary's
 //! tests on concurrent threads, and a second test's allocations would
@@ -48,6 +50,34 @@ fn events() -> u64 {
 
 #[test]
 fn steady_state_checkpoints_and_queries_do_not_grow_allocations() {
+    // ——— Client encoder ———
+    // The fused sketch client (group hash, coordinate hashes, one
+    // Reed–Solomon symbol, two oracle draws per user) writes into a
+    // pre-reserved buffer: its allocation count per call must not grow
+    // with the chunk length. The counter is process-wide, so each length
+    // keeps its minimum over a few calls: a per-user allocation shows in
+    // every call, a stray one from another thread does not.
+    let sketch = ExpanderSketch::new(SketchParams::optimal(1 << 14, 20, 2.0, 0.1), 640);
+    let users = Workload::planted(1 << 20, vec![(77, 0.3)]).generate(4_096, 639);
+    let mut wire = Vec::with_capacity(64 * users.len());
+    let _ = sketch.respond_encode_batch(0, &users, 9, &mut wire); // warm-up
+    let mut per_call = Vec::new();
+    for len in [256usize, 4_096] {
+        let mut fewest = u64::MAX;
+        for _ in 0..3 {
+            wire.clear();
+            let before = events();
+            let lens = sketch.respond_encode_batch(0, &users[..len], 9, &mut wire);
+            fewest = fewest.min(events() - before);
+            assert_eq!(lens.len(), len);
+        }
+        per_call.push(fewest);
+    }
+    assert!(
+        per_call[1] <= per_call[0],
+        "sketch client allocations grew with chunk length (256 vs 4096 users): {per_call:?}"
+    );
+
     let n = 4_000usize;
     let input = Workload::planted(256, vec![(9, 0.4)]).generate(n, 641);
     let params = ScanParams::new(n as u64, 256, 4.0, 0.1);

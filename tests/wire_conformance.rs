@@ -159,6 +159,56 @@ fn rappor_reports_conform() {
     );
 }
 
+/// FNV-1a over a byte stream — a dependency-free digest for golden pins.
+fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden pin of the expander sketch's client bytes: the fused
+/// `respond_encode_batch` over fixed parameters, seeds and inputs must
+/// produce exactly the recorded bytes and frame lengths. The
+/// fused-vs-scalar grids compare two paths that share the cell
+/// computation, so only a recorded digest catches a drift in the group
+/// hash, the coordinate hashes or the Reed–Solomon symbol. The domains
+/// cover group-hash independence 8, 24, 26 and 40.
+#[test]
+fn expander_sketch_client_bytes_match_golden_digest() {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut total = 0usize;
+    for (domain_bits, server_seed) in [(4u32, 11u64), (12, 12), (13, 13), (20, 14)] {
+        let n = 1_500u64;
+        let server =
+            ExpanderSketch::new(SketchParams::optimal(n, domain_bits, 2.0, 0.1), server_seed);
+        let top = (1u64 << domain_bits) - 1;
+        let mut xs = inputs(n as usize, 1 << domain_bits, server_seed + 100);
+        xs.extend([0, 1, 2, top - 1, top]);
+        // Uneven chunks at nonzero start indices, into one buffer.
+        let mut bytes = Vec::new();
+        let mut lens = Vec::new();
+        let mut start = 0usize;
+        for chunk in [1usize, 7, 256, 1_000, usize::MAX] {
+            let hi = start.saturating_add(chunk).min(xs.len());
+            let part =
+                server.respond_encode_batch(start as u64 + 5, &xs[start..hi], 77, &mut bytes);
+            lens.extend(part);
+            start = hi;
+        }
+        assert_eq!(lens.len(), xs.len());
+        total += bytes.len();
+        digest = fnv1a(digest, &bytes);
+        for len in lens {
+            digest = fnv1a(digest, &len.to_le_bytes());
+        }
+    }
+    assert_eq!(
+        (total, digest),
+        (29_959, 0xe769_dc39_8393_c6d3),
+        "expander sketch client bytes drifted from the recorded digest"
+    );
+}
+
 #[test]
 fn malformed_frames_are_rejected() {
     use ldp_heavy_hitters::core::SketchReport;
