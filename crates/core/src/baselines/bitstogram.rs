@@ -22,7 +22,7 @@ use crate::traits::{
 use hh_freq::calibrate;
 use hh_freq::hashtogram::{
     read_report_run, report_run_len, write_report_run, Hashtogram, HashtogramParams,
-    HashtogramReport, HashtogramShard,
+    HashtogramReport, HashtogramShard, RowPool,
 };
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire;
@@ -425,17 +425,22 @@ impl HeavyHitterProtocol for Bitstogram {
         let m_bits = p.domain_bits as usize;
         let tau = 1.25 * p.cell_noise();
         // Inner decode: every (repetition, bit) group is an independent
-        // oracle — materialize each from its buffered reports and sweep
-        // its whole cell domain in one bulk run, on parallel workers
-        // with pooled run tiles (results in group order, bit-for-bit
-        // the serial loop's tables).
-        let work: Vec<(usize, Vec<f64>)> = (0..p.repetitions * m_bits)
+        // oracle — materialize each from its buffered reports into a
+        // worker's recycled rows and sweep its whole cell domain in one
+        // bulk run, on parallel workers with pooled run tiles (results
+        // in group order, bit-for-bit the serial loop's tables).
+        let groups = p.repetitions * m_bits;
+        let work: Vec<(usize, Vec<f64>)> = (0..groups)
             .map(|group| (group, scratch.take_f64()))
             .collect();
+        let rows = RowPool::new(&self.inner_proto, planned_threads(threads, groups, 1));
         let tables = par_map_owned(work, threads, |_, (group, mut tile)| {
-            let oracle = self.inner_proto.materialize(&self.inner_reports[group]);
+            let oracle = self
+                .inner_proto
+                .materialize(&self.inner_reports[group], rows.take());
             let mut table = vec![0.0; p.inner_cells() as usize];
             oracle.estimate_run(0, &mut table, &mut tile);
+            rows.put(oracle.into_rows());
             (table, tile)
         });
         let mut estimates = Vec::with_capacity(tables.len());

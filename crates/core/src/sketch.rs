@@ -29,7 +29,7 @@ use crate::traits::{
 use hh_codes::ulrc::UniqueListCode;
 use hh_freq::hashtogram::{
     read_report_run, report_run_len, write_report_run, Hashtogram, HashtogramReport,
-    HashtogramShard, RUN_TILE,
+    HashtogramShard, RowPool, RUN_TILE,
 };
 use hh_freq::traits::FrequencyOracle;
 use hh_freq::wire;
@@ -133,10 +133,11 @@ impl WireShard for SketchShard {
 /// over coordinates — see [`ExpanderSketch::profile_standout`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StandoutPhases {
-    /// Tallying each coordinate's buffered reports into fresh zeroed
-    /// tallies.
+    /// Zero-filling a recycled coordinate table and tallying the
+    /// coordinate's buffered reports into it.
     pub materialize: Duration,
-    /// Debias + Hadamard transform of each coordinate's tallies.
+    /// The Hadamard transform of each table, the debias folded into
+    /// its first block phase.
     pub transform: Duration,
     /// The argmax-over-`z` sweep of every `(b, y)` cell run.
     pub sweep: Duration,
@@ -273,20 +274,29 @@ impl ExpanderSketch {
     /// oracle from its buffered reports and sweeps it — so they decode
     /// on `scratch.threads` workers, with the per-coordinate results
     /// reassembled in coordinate order: the lists are identical for
-    /// every thread count. Each coordinate's run tiles come from the
-    /// scratch pool and go back to it.
+    /// every thread count. Each worker materializes into one recycled
+    /// `W`-cell table from a [`RowPool`] sized to the worker count, so
+    /// only its first coordinate faults the table's pages in. Each
+    /// coordinate's run tiles come from the scratch pool and go back to
+    /// it.
     fn build_standout_lists(&self, scratch: &mut FinishScratch) -> Vec<Vec<Vec<(u64, u64)>>> {
         let p = &self.params;
         let work: Vec<(usize, Vec<f64>, Vec<f64>)> = (0..p.num_coords)
             .map(|m| (m, scratch.take_f64(), scratch.take_f64()))
             .collect();
+        let tables = RowPool::new(
+            &self.inner_proto,
+            planned_threads(scratch.threads, p.num_coords, 1),
+        );
         let per_coord = par_map_owned(work, scratch.threads, |_, (m, mut run, mut tile)| {
             let reports_m = &self.inner_reports[m];
             let lists = if reports_m.is_empty() {
                 vec![Vec::new(); p.num_buckets as usize]
             } else {
-                let oracle = self.inner_proto.materialize(reports_m);
-                self.sweep_coord(&oracle, &mut run, &mut tile)
+                let oracle = self.inner_proto.materialize(reports_m, tables.take());
+                let lists = self.sweep_coord(&oracle, &mut run, &mut tile);
+                tables.put(oracle.into_rows());
+                lists
             };
             (lists, run, tile)
         });
@@ -345,21 +355,25 @@ impl ExpanderSketch {
 
     /// Run the stand-out step (steps 2–3) serially with a clock around
     /// each sub-phase — materialize, transform, sweep — and return the
-    /// per-phase totals. The same operations the finish path runs
-    /// ([`Hashtogram::materialize`] is [`Hashtogram::tally`] then
-    /// finalize), so benches can name the layer a change moved. Reads
-    /// the buffered reports only; the sketch stays unfinished.
+    /// per-phase totals. The same operations one finish worker runs:
+    /// [`Hashtogram::tally_rows`] into a recycled table, then
+    /// [`hh_freq::hashtogram::RowTally::finalize`] (the two halves of
+    /// [`Hashtogram::materialize`]), then the sweep — so benches can
+    /// name the layer a change moved. Reads the buffered reports only;
+    /// the sketch stays unfinished.
     pub fn profile_standout(&self) -> StandoutPhases {
         let mut phases = StandoutPhases::default();
         let (mut run, mut tile) = (Vec::new(), Vec::new());
+        let tables = RowPool::new(&self.inner_proto, 1);
         for reports_m in self.inner_reports.iter().filter(|r| !r.is_empty()) {
             let t0 = Instant::now();
-            let mut oracle = self.inner_proto.tally(reports_m);
+            let tally = self.inner_proto.tally_rows(reports_m, tables.take());
             let t1 = Instant::now();
-            oracle.finalize();
+            let oracle = tally.finalize();
             let t2 = Instant::now();
             let _ = self.sweep_coord(&oracle, &mut run, &mut tile);
             let t3 = Instant::now();
+            tables.put(oracle.into_rows());
             phases.materialize += t1 - t0;
             phases.transform += t2 - t1;
             phases.sweep += t3 - t2;
@@ -561,9 +575,9 @@ impl HeavyHitterProtocol for ExpanderSketch {
     }
 
     fn memory_bytes(&self) -> usize {
-        // One materialized coordinate accumulator (a parallel finish
-        // holds one per worker; this is the serial floor) + the outer
-        // oracle sketch + stand-out lists.
+        // One coordinate table (a finish holds one recycled table per
+        // worker; this is the serial floor) + the outer oracle sketch +
+        // stand-out lists.
         self.inner_proto.memory_bytes()
             + self.outer.memory_bytes()
             + self.params.num_buckets as usize
@@ -717,6 +731,71 @@ mod tests {
             "bits = {}",
             server.report_bits()
         );
+    }
+
+    /// FNV-1a over every `(b, m, y, z)` of the stand-out lists.
+    fn standout_digest(lists: &[Vec<Vec<(u64, u64)>>]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (b, per_m) in lists.iter().enumerate() {
+            for (m, list) in per_m.iter().enumerate() {
+                for &(y, z) in list {
+                    for v in [b as u64, m as u64, y, z] {
+                        for byte in v.to_le_bytes() {
+                            h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn standout_lists_match_reference_at_every_thread_count() {
+        // M > 7 coordinates: at 1, 2, 3 and 7 workers some worker's
+        // recycled table carries more than one coordinate.
+        let n = 1usize << 13;
+        let params = SketchParams::optimal(n as u64, 16, 4.0, 0.1);
+        assert!(params.num_coords > 7, "M = {}", params.num_coords);
+        let heavy_frac = (params.detection_threshold() / n as f64) * 1.6;
+        let data = planted(n, 16, &[(0x0BAD, heavy_frac), (0x7777, heavy_frac)], 51);
+        let mut server = ExpanderSketch::new(params.clone(), 52);
+        let mut rng = seeded_rng(53);
+        for (i, &x) in data.iter().enumerate() {
+            let rep = server.respond(i as u64, x, &mut rng);
+            server.collect(i as u64, rep);
+        }
+        // Reference: each coordinate's oracle built by a clone of the
+        // prototype fed its reports through `collect`, then finalized.
+        let (mut run, mut tile) = (Vec::new(), Vec::new());
+        let mut want = vec![vec![Vec::new(); params.num_coords]; params.num_buckets as usize];
+        for (m, reports_m) in server.inner_reports.iter().enumerate() {
+            let mut oracle = server.inner_proto.clone();
+            for &(user, rep) in reports_m {
+                oracle.collect(user, rep);
+            }
+            oracle.finalize();
+            for (b, list) in server
+                .sweep_coord(&oracle, &mut run, &mut tile)
+                .into_iter()
+                .enumerate()
+            {
+                want[b][m] = list;
+            }
+        }
+        assert!(
+            want.iter().flatten().any(|list| !list.is_empty()),
+            "vacuous: no stand-out cell"
+        );
+        for threads in [1, 2, 3, 7] {
+            let got = server.build_standout_lists(&mut FinishScratch::with_threads(threads));
+            assert_eq!(
+                standout_digest(&got),
+                standout_digest(&want),
+                "threads = {threads}"
+            );
+            assert_eq!(got, want, "threads = {threads}");
+        }
     }
 
     #[test]

@@ -39,8 +39,9 @@ use hh_math::par::{par_map_owned, FinishScratch};
 use hh_math::rng::derive_seed;
 use hh_math::sampler::{ClientCoins, Uniform64};
 use hh_math::stats::median_in_place;
-use hh_math::wht::{fwht, fwht_threaded, hadamard_entry};
+use hh_math::wht::{fwht_scaled, hadamard_entry};
 use rand::Rng;
+use std::sync::Mutex;
 
 /// Configuration of a [`Hashtogram`] oracle.
 #[derive(Debug, Clone)]
@@ -415,31 +416,69 @@ impl Hashtogram {
     /// (per-group) decode step of the composite protocols that buffer
     /// inner reports until finish (`ExpanderSketch`, `Bitstogram`).
     ///
-    /// The tallies start as fresh zeroed allocations rather than a clone
-    /// of this oracle's (no copy of a `groups × W` table), and
-    /// finalization converts them to estimates in place. The result is
-    /// bit-for-bit a clone fed the same reports through
-    /// [`FrequencyOracle::collect`] and then finalized.
-    pub fn materialize(&self, reports: &[(u64, HashtogramReport)]) -> Hashtogram {
-        let mut oracle = self.tally(reports);
-        oracle.finalize();
-        oracle
+    /// `rows` are caller-owned tables, one per group, in any state:
+    /// [`Hashtogram::tally_rows`] zero-fills them to `W` cells and
+    /// tallies the reports straight into them, and [`RowTally::finalize`]
+    /// debiases and transforms them in place. A caller that recycles the
+    /// rows of the previous oracle ([`Hashtogram::into_rows`]) zero-fills
+    /// memory that is already mapped. The result is bit-for-bit a clone
+    /// fed the same reports through [`FrequencyOracle::collect`] and
+    /// then finalized.
+    pub fn materialize(
+        &self,
+        reports: &[(u64, HashtogramReport)],
+        rows: Vec<Vec<f64>>,
+    ) -> Hashtogram {
+        self.tally_rows(reports, rows).finalize()
     }
 
-    /// The unfinalized half of [`Hashtogram::materialize`]: a fresh
-    /// oracle with the run's reports tallied (group assignment seed
-    /// hoisted, as in [`Hashtogram::absorber`]).
-    pub fn tally(&self, reports: &[(u64, HashtogramReport)]) -> Hashtogram {
-        let mut oracle = Hashtogram::new(self.params.clone(), self.family.master_seed());
-        let assign_seed = oracle.assignment_seed();
-        let groups = oracle.params.groups as u64;
-        for &(user, rep) in reports {
-            let g = Self::group_at(assign_seed, user, groups) as usize;
-            oracle.tallies[g][rep.ell as usize] += i64::from(rep.bit);
-            oracle.group_counts[g] += 1;
+    /// The first half of [`Hashtogram::materialize`]: zero-fill `rows`
+    /// (`clear` + `resize` to `W`, so recycled capacity is reused) and
+    /// add each report's ±1 into its `(group, row)` cell, with the group
+    /// assignment seed hoisted as in [`Hashtogram::absorber`]. The sums
+    /// are integers below `2^53` in magnitude, so the `f64` tally is
+    /// exact and equals the `i64` one cell for cell. The oracle shares
+    /// this one's public randomness without allocating a table of its
+    /// own.
+    pub fn tally_rows(
+        &self,
+        reports: &[(u64, HashtogramReport)],
+        mut rows: Vec<Vec<f64>>,
+    ) -> RowTally {
+        let groups = self.params.groups;
+        assert_eq!(rows.len(), groups, "one row per group");
+        let buckets = self.params.buckets as usize;
+        for row in &mut rows {
+            row.clear();
+            row.resize(buckets, 0.0);
         }
-        oracle.total_users = reports.len() as u64;
-        oracle
+        let assign_seed = self.assignment_seed();
+        let mut group_counts = vec![0; groups];
+        for &(user, rep) in reports {
+            let g = Self::group_at(assign_seed, user, groups as u64) as usize;
+            rows[g][rep.ell as usize] += f64::from(rep.bit);
+            group_counts[g] += 1;
+        }
+        RowTally(Hashtogram {
+            params: self.params.clone(),
+            family: self.family,
+            bucket_hashes: self.bucket_hashes.clone(),
+            sign_hashes: self.sign_hashes.clone(),
+            rr: self.rr.clone(),
+            row: self.row,
+            tallies: Vec::new(),
+            acc: rows,
+            group_counts,
+            total_users: reports.len() as u64,
+            finalized: false,
+        })
+    }
+
+    /// Hand back the bucket-estimate rows (one per group; empty before
+    /// finalization) for reuse as the next [`Hashtogram::materialize`]
+    /// call's tables.
+    pub fn into_rows(self) -> Vec<Vec<f64>> {
+        self.acc
     }
 
     /// [`FrequencyOracle::estimate`] writing the per-group estimates
@@ -533,14 +572,78 @@ impl Hashtogram {
 /// through its scratch buffer.
 pub const RUN_TILE: usize = 512;
 
+/// The reports of a [`Hashtogram::materialize`] run tallied into its
+/// `f64` rows, before the debias and the transform — see
+/// [`Hashtogram::tally_rows`].
+#[derive(Debug)]
+pub struct RowTally(Hashtogram);
+
+impl RowTally {
+    /// Debias and transform every row in place — one [`fwht_scaled`]
+    /// each, the debias factor folded into the transform: the finalized
+    /// oracle.
+    pub fn finalize(self) -> Hashtogram {
+        let mut oracle = self.0;
+        let c = oracle.rr.debias_factor();
+        for row in &mut oracle.acc {
+            fwht_scaled(row, c, 1);
+        }
+        oracle.finalized = true;
+        oracle
+    }
+}
+
+/// Recycled [`Hashtogram::materialize`] tables for a parallel decode:
+/// one set of rows (one row per group, capacity `W`) per finish worker,
+/// allocated up front. A worker takes a set for each item and puts it
+/// back when the item is done, so with at most `workers` items in
+/// flight a take never finds the pool empty, and the allocation count
+/// does not depend on thread timing. After a worker's first item its
+/// tables are warm: `materialize` zero-fills pages that are already
+/// mapped instead of faulting in fresh ones.
+#[derive(Debug)]
+pub struct RowPool(Mutex<Vec<Vec<Vec<f64>>>>);
+
+impl RowPool {
+    /// `workers` table sets shaped for `oracle` — capacity reserved,
+    /// nothing touched yet.
+    pub fn new(oracle: &Hashtogram, workers: usize) -> Self {
+        let (groups, buckets) = (oracle.params.groups, oracle.params.buckets as usize);
+        Self(Mutex::new(
+            (0..workers)
+                .map(|_| (0..groups).map(|_| Vec::with_capacity(buckets)).collect())
+                .collect(),
+        ))
+    }
+
+    /// A table set for one item. Panics when more items than workers
+    /// are in flight.
+    pub fn take(&self) -> Vec<Vec<f64>> {
+        let set = self
+            .0
+            .lock()
+            .expect("a worker panicked holding the pool")
+            .pop();
+        set.expect("more items in flight than pooled tables")
+    }
+
+    /// Return a set (e.g. [`Hashtogram::into_rows`]) for the next item.
+    pub fn put(&self, rows: Vec<Vec<f64>>) {
+        self.0
+            .lock()
+            .expect("a worker panicked holding the pool")
+            .push(rows);
+    }
+}
+
 /// Debias one group's exact integer tally (a constant multiplier per
-/// cell) into `f64` — in place, reusing the tally's allocation — and
-/// transform it into per-bucket sums: each user contributes (in
-/// expectation) `W · (1/W) · 1` to her bucket via the orthogonality of
-/// Hadamard rows.
-fn debias_transform(row: Vec<i64>, c: f64, transform: impl FnOnce(&mut [f64])) -> Vec<f64> {
-    let mut out: Vec<f64> = row.into_iter().map(|t| c * t as f64).collect();
-    transform(&mut out);
+/// cell) and transform it into per-bucket sums: each user contributes
+/// (in expectation) `W · (1/W) · 1` to her bucket via the orthogonality
+/// of Hadamard rows. The tally converts to `f64` in place, reusing its
+/// allocation; the debias rides in the transform's first block phase.
+fn debias_transform(row: Vec<i64>, c: f64, threads: usize) -> Vec<f64> {
+    let mut out: Vec<f64> = row.into_iter().map(|t| t as f64).collect();
+    fwht_scaled(&mut out, c, threads);
     out
 }
 
@@ -711,7 +814,7 @@ impl FrequencyOracle for Hashtogram {
         let c = self.rr.debias_factor();
         self.acc = std::mem::take(&mut self.tallies)
             .into_iter()
-            .map(|row| debias_transform(row, c, fwht))
+            .map(|row| debias_transform(row, c, 1))
             .collect();
         self.finalized = true;
     }
@@ -725,12 +828,12 @@ impl FrequencyOracle for Hashtogram {
             // One row: the only parallelism available is inside the
             // transform itself, which splits its blocks and column tiles.
             rows.into_iter()
-                .map(|row| debias_transform(row, c, |v| fwht_threaded(v, threads)))
+                .map(|row| debias_transform(row, c, threads))
                 .collect()
         } else {
             // One row per group; rows are independent, results come back
             // in row order — bit-for-bit `finalize()`'s.
-            par_map_owned(rows, threads, |_, row| debias_transform(row, c, fwht))
+            par_map_owned(rows, threads, |_, row| debias_transform(row, c, 1))
         };
         self.finalized = true;
     }
@@ -990,13 +1093,32 @@ mod tests {
         oracle.estimate_run(60, &mut [0.0; 5], &mut Vec::new());
     }
 
+    /// Tables a recycling caller may hand to `materialize`, one per
+    /// group: a row left holding NaN at full width, a row longer than
+    /// `W`, a row with zero capacity, a short dirty row — cycled over
+    /// the groups.
+    fn dirty_rows(groups: usize, buckets: usize) -> Vec<Vec<f64>> {
+        (0..groups)
+            .map(|g| match g % 4 {
+                0 => vec![f64::NAN; buckets],
+                1 => vec![-7.5; 3 * buckets + 5],
+                2 => Vec::new(),
+                _ => vec![f64::INFINITY; buckets / 2 + 1],
+            })
+            .collect()
+    }
+
     #[test]
     fn materialize_matches_collect_and_finalize() {
         let n = 3_000u64;
+        let mut one_group = HashtogramParams::direct(200, 1.0, 0.1);
+        one_group.groups = 1;
         for params in [
+            one_group,
             HashtogramParams::direct(200, 1.0, 0.1),
             HashtogramParams::hashed(n, 1 << 20, 1.0, 0.1),
         ] {
+            let (groups, buckets) = (params.groups, params.buckets as usize);
             let proto = Hashtogram::new(params, 71);
             let xs: Vec<u64> = (0..n).map(|i| (i * 37) % 200).collect();
             let reports = proto.respond_batch(0, &xs, 72);
@@ -1012,12 +1134,37 @@ mod tests {
                 want.collect(user, rep);
             }
             want.finalize();
-            let got = proto.materialize(&run);
-            assert_eq!(got.total_users(), want.total_users());
-            for x in [0u64, 1, 37, 199] {
-                assert_eq!(got.estimate(x).to_bits(), want.estimate(x).to_bits());
-            }
+            let same = |got: &Hashtogram| {
+                assert_eq!(got.total_users(), want.total_users());
+                assert_eq!(got.group_counts, want.group_counts);
+                assert_eq!(got.acc.len(), groups);
+                for (g, (a, b)) in got.acc.iter().zip(&want.acc).enumerate() {
+                    assert_eq!(a.len(), buckets, "group {g} row width");
+                    assert!(
+                        a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "group {g} row differs"
+                    );
+                }
+                for x in [0u64, 1, 37, 199] {
+                    assert_eq!(got.estimate(x).to_bits(), want.estimate(x).to_bits());
+                }
+            };
+            // Dirty recycled tables, then the rows handed back by that
+            // oracle, then a different run in between: each result is
+            // the reference bit for bit.
+            let got = proto.materialize(&run, dirty_rows(groups, buckets));
+            same(&got);
+            let other = proto.materialize(&run[..run.len() / 3], got.into_rows());
+            let got = proto.materialize(&run, other.into_rows());
+            same(&got);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per group")]
+    fn materialize_needs_one_row_per_group() {
+        let proto = Hashtogram::new(HashtogramParams::direct(64, 1.0, 0.1), 73);
+        let _ = proto.materialize(&[], vec![Vec::new()]);
     }
 
     #[test]

@@ -58,6 +58,25 @@ pub fn fwht(data: &mut [f64]) {
 /// Small transforms (or `threads <= 1`) run on the calling thread —
 /// fan-out only pays when a pass dwarfs a scope spawn.
 pub fn fwht_threaded(data: &mut [f64], threads: usize) {
+    transform(data, None, threads);
+}
+
+/// In-place transform of `c · data` on worker threads — bit-for-bit
+/// scaling every element by `c` and then running [`fwht`], for every
+/// `threads` (`0` = the available hardware parallelism).
+///
+/// The scale is folded into the transform: each L1 block is multiplied
+/// by `c` right before its low levels run, so the debias of a Hadamard
+/// tally costs no pass over memory of its own. Every product is the
+/// same `c · x` and every butterfly then gets the same inputs as in the
+/// separate pass, so the output bits do not move.
+pub fn fwht_scaled(data: &mut [f64], c: f64, threads: usize) {
+    transform(data, Some(c), threads);
+}
+
+/// The one transform schedule behind [`fwht_threaded`] and
+/// [`fwht_scaled`]; `scale` multiplies each low-level block first.
+fn transform(data: &mut [f64], scale: Option<f64>, threads: usize) {
     let n = data.len();
     assert!(
         n.is_power_of_two(),
@@ -73,6 +92,11 @@ pub fn fwht_threaded(data: &mut [f64], threads: usize) {
     let per = (n / block).div_ceil(threads) * block;
     for_each_unit(data.chunks_mut(per), threads, |run| {
         for b in run.chunks_mut(block) {
+            if let Some(c) = scale {
+                for v in b.iter_mut() {
+                    *v *= c;
+                }
+            }
             fwht_levels(b);
         }
     });
@@ -379,6 +403,34 @@ mod tests {
                 assert!(same_bits(&got, &want), "k = {k}, threads = {threads}");
             }
         }
+    }
+
+    #[test]
+    fn scaled_matches_scaling_then_transform() {
+        // Every length 2^0..2^20 (inside one block, one block, many
+        // blocks with full and ragged radix passes) at every thread
+        // count the finish paths use, against a separate scaling pass
+        // followed by the serial transform.
+        let mut rng = SmallRng::seed_from_u64(31);
+        let c = 1.0 / 3.0_f64.sqrt();
+        for k in 0..=20u32 {
+            let n = 1usize << k;
+            let data: Vec<f64> = (0..n).map(|_| rng.gen_range(-9.0..9.0)).collect();
+            let mut want: Vec<f64> = data.iter().map(|&t| c * t).collect();
+            fwht(&mut want);
+            for threads in [0, 1, 2, 3, 7] {
+                let mut got = data.clone();
+                fwht_scaled(&mut got, c, threads);
+                assert!(same_bits(&got, &want), "k = {k}, threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn scaled_rejects_non_power_of_two() {
+        let mut x = vec![0.0; 12];
+        fwht_scaled(&mut x, 2.0, 1);
     }
 
     #[test]

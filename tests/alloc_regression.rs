@@ -1,6 +1,7 @@
 //! Allocation regressions in the steady-state streaming paths, pinned
 //! with a counting global allocator: the expander sketch's client
-//! encoder allocates per call, never per user; repeated checkpoints
+//! encoder allocates per call, never per user; a cold parallel sketch
+//! finish allocates the same count every call; repeated checkpoints
 //! reuse their snapshot buffers, and repeated mid-stream queries
 //! (`finish_at_epoch` / `snapshot_shard`) reuse their pooled decode
 //! buffers — per-call allocation counts must stay flat, never grow with
@@ -10,6 +11,7 @@
 //! tests on concurrent threads, and a second test's allocations would
 //! race the counters.
 
+use ldp_heavy_hitters::core::SketchShard;
 use ldp_heavy_hitters::prelude::*;
 use ldp_heavy_hitters::sim::{run_pipelined, HhStream, PipelineConfig, StreamEngine, StreamPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -76,6 +78,45 @@ fn steady_state_checkpoints_and_queries_do_not_grow_allocations() {
     assert!(
         per_call[1] <= per_call[0],
         "sketch client allocations grew with chunk length (256 vs 4096 users): {per_call:?}"
+    );
+
+    // ——— Sketch finish ———
+    // A cold `finish_with` on 2 workers: each worker materializes its
+    // coordinates into one recycled table from a pool sized to the
+    // worker count before the coordinate map, so which worker takes
+    // which coordinate must not change the allocation count. Every call
+    // finishes a fresh sketch holding the same snapshot; each round
+    // keeps the minimum of 3 calls (the counter is process-wide), and
+    // every round must count the same.
+    let params = SketchParams::optimal(1 << 10, 12, 4.0, 0.1);
+    let users = Workload::planted(1 << 12, vec![(0x77, 0.3)]).generate(1 << 10, 644);
+    let proto = ExpanderSketch::new(params.clone(), 645);
+    let mut shard = proto.new_shard();
+    proto.absorb(&mut shard, 0, &proto.respond_batch(0, &users, 646));
+    let mut snapshot = Vec::new();
+    shard.encode_shard_into(&mut snapshot);
+    let cold = || {
+        let mut sketch = ExpanderSketch::new(params.clone(), 645);
+        sketch.finish_shard(SketchShard::decode_shard(&snapshot).expect("snapshot decodes"));
+        sketch
+    };
+    let mut scratch = FinishScratch::with_threads(2);
+    let reference = cold().finish_with(&mut scratch); // warm the scratch pool
+    let mut per_round = Vec::new();
+    for _ in 0..3 {
+        let mut fewest = u64::MAX;
+        for _ in 0..3 {
+            let mut sketch = cold();
+            let before = events();
+            let estimates = sketch.finish_with(&mut scratch);
+            fewest = fewest.min(events() - before);
+            assert_eq!(estimates, reference);
+        }
+        per_round.push(fewest);
+    }
+    assert!(
+        per_round.windows(2).all(|w| w[1] == w[0]),
+        "cold 2-thread sketch finish allocations moved across calls: {per_round:?}"
     );
 
     let n = 4_000usize;
